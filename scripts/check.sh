@@ -69,6 +69,11 @@ else
     python -m pytest -x -q $cov_args || failures=$((failures + 1))
 fi
 
+step "pytest -m slow (scale-1.0 results tier)"
+# Stats digests for all 60 primary cells at the paper's scale; pyproject's
+# addopts keeps this marker out of the tier-1 run above.
+python -m pytest -x -q -m slow || failures=$((failures + 1))
+
 step "repro lint (workload verifier)"
 python -m repro lint || failures=$((failures + 1))
 

@@ -100,20 +100,19 @@ def _dep_start_times(trace: Trace) -> List[int]:
     RESTART hints conservatively start at 0 (models may issue them
     without a readiness check), and never publish destinations.
     """
-    dec = trace.decoded
     ready: Dict[int, int] = {}
-    starts = [0] * dec.n
-    for i in range(dec.n):
-        if not dec.executed[i] or dec.is_restart[i]:
+    starts = [0] * len(trace)
+    for i in range(len(trace)):
+        if not trace.executed[i] or trace.is_restart[i]:
             continue
         start = 0
-        for reg in dec.srcs[i]:
+        for reg in trace.srcs[i]:
             avail = ready.get(reg, 0)
             if avail > start:
                 start = avail
         starts[i] = start
-        done = start + dec.latency[i]
-        for reg in dec.dests[i]:
+        done = start + trace.latency[i]
+        for reg in trace.dests[i]:
             if reg not in HARDWIRED:
                 ready[reg] = done
     return starts
@@ -126,8 +125,7 @@ def cycle_lower_bound(trace: Trace,
         return trace._cycle_bound
     ports = ports or _DEFAULT_PORTS
 
-    dec = trace.decoded
-    n = dec.n
+    n = len(trace)
     dep_height = 0
     if n:
         starts = _dep_start_times(trace)
@@ -137,14 +135,14 @@ def cycle_lower_bound(trace: Trace,
 
     n_mem = n_alu = n_fp = n_br = 0
     for i in range(n):
-        if not dec.executed[i]:
+        if not trace.executed[i]:
             continue  # nullified entries occupy only a slot
-        if dec.is_load[i] or dec.is_store[i]:
+        if trace.is_load[i] or trace.is_store[i]:
             n_mem += 1
-        elif dec.is_branch[i]:
+        elif trace.is_branch[i]:
             n_br += 1
         else:
-            name = dec.fu[i].name
+            name = trace.fu[i].name
             if name in ("FP", "MULDIV"):
                 n_fp += 1
             elif name == "ALU":
@@ -263,8 +261,7 @@ def slack_report(trace: Trace,
     ineffectuality analysis of PAPERS.md).
     """
     bound = cycle_lower_bound(trace, ports)
-    dec = trace.decoded
-    n = dec.n
+    n = len(trace)
     starts = _dep_start_times(trace)
 
     # Dynamic def-use edges via last-writer tracking.  Nullified entries
@@ -275,15 +272,15 @@ def slack_report(trace: Trace,
     last_writer: Dict[int, int] = {}
     for i in range(n):
         feeds = []
-        for reg in dec.srcs[i]:
+        for reg in trace.srcs[i]:
             writer = last_writer.get(reg)
             if writer is not None:
                 feeds.append(writer)
                 consumers[writer].append(i)
         producers[i] = tuple(feeds)
-        if not dec.executed[i]:
+        if not trace.executed[i]:
             continue
-        for reg in dec.dests[i]:
+        for reg in trace.dests[i]:
             if reg not in HARDWIRED:
                 last_writer[reg] = i
     # Backward closure from effectual sinks.  A nullified entry is a
@@ -292,10 +289,10 @@ def slack_report(trace: Trace,
     effectual = [False] * n
     stack: List[int] = []
     for i in range(n):
-        if dec.is_restart[i]:
+        if trace.is_restart[i]:
             continue  # RESTART is a hint, not an observable effect
-        if (not dec.executed[i] or dec.is_store[i] or dec.is_branch[i]
-                or dec.fu[i].name == "NONE"):
+        if (not trace.executed[i] or trace.is_store[i] or trace.is_branch[i]
+                or trace.fu[i].name == "NONE"):
             stack.append(i)
     for reg in trace.final_registers:
         writer = last_writer.get(reg)
@@ -314,21 +311,21 @@ def slack_report(trace: Trace,
     makespan = max(starts) if n else 0
     late = [makespan] * n
     for i in range(n - 1, -1, -1):
-        if not dec.executed[i] or dec.is_restart[i]:
+        if not trace.executed[i] or trace.is_restart[i]:
             continue
         if consumers[i]:
-            latest = min(late[c] for c in consumers[i]) - dec.latency[i]
+            latest = min(late[c] for c in consumers[i]) - trace.latency[i]
             late[i] = max(0, latest)
 
     rows: Dict[int, SlackRow] = {}
     program = trace.program
     for i in range(n):
-        pc = dec.pc[i]
+        pc = trace.pc[i]
         row = rows.get(pc)
         if row is None:
             row = rows[pc] = SlackRow(pc=pc, text=program[pc].render())
         row.count += 1
-        if not dec.executed[i] or dec.is_restart[i]:
+        if not trace.executed[i] or trace.is_restart[i]:
             continue
         row.executed += 1
         slack = late[i] - starts[i]
@@ -337,7 +334,7 @@ def slack_report(trace: Trace,
             row.min_slack = slack
         if slack == 0:
             row.critical += 1
-        produces_value = bool(dec.dests[i]) and not dec.is_store[i]
+        produces_value = bool(trace.dests[i]) and not trace.is_store[i]
         if produces_value and not effectual[i]:
             row.ineffectual += 1
     return SlackReport(bound=bound,

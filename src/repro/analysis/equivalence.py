@@ -91,9 +91,10 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _arch_retired(entries) -> int:
-    """Dynamic instruction count net of RESTART directives."""
-    return sum(1 for e in entries if not e.is_restart)
+def _arch_retired(is_restart) -> int:
+    """Dynamic instruction count net of RESTART directives, from a
+    trace's ``is_restart`` column (or a prefix of it)."""
+    return len(is_restart) - sum(is_restart)
 
 
 def _minimize(got: Dict, want: Dict, limit: int = 5) -> str:
@@ -146,14 +147,14 @@ def check_workload(workload: str,
         source, max_instructions=max_instructions).run()
     ref = StateSnapshot("functional", dict(src_trace.final_registers),
                         dict(src_trace.final_memory),
-                        _arch_retired(src_trace.entries))
+                        _arch_retired(src_trace.is_restart))
     report.snapshots.append(ref)
 
     comp_trace = FunctionalSimulator(
         compiled, max_instructions=max_instructions).run()
     comp = StateSnapshot("compiled", dict(comp_trace.final_registers),
                          dict(comp_trace.final_memory),
-                         _arch_retired(comp_trace.entries))
+                         _arch_retired(comp_trace.is_restart))
     report.snapshots.append(comp)
     _compare(report, ref, comp)
 
@@ -174,7 +175,8 @@ def check_workload(workload: str,
         replay = core.replay
         snap = StateSnapshot(model, dict(replay.sim.registers),
                              dict(replay.sim.memory),
-                             _arch_retired(comp_trace.entries[:replay.retired]))
+                             _arch_retired(
+                                 comp_trace.is_restart[:replay.retired]))
         report.snapshots.append(snap)
         _compare(report, ref, snap)
     return report

@@ -2,9 +2,9 @@
 
 Simulator *output* is pinned bit-identical by the golden suite; this
 module pins simulator *speed*.  ``run_bench`` times each model over a
-fixed workload matrix (traces and decoded caches prebuilt, so only the
-timing loops are measured), taking the best of ``repeats`` passes to
-shed scheduler noise, and returns a JSON-serializable record:
+fixed workload matrix (traces prebuilt, so only the timing loops are
+measured), taking the best of ``repeats`` passes to shed scheduler
+noise, and returns a JSON-serializable record:
 
 * per-model wall seconds, simulated cycles and cycles/second,
 * matrix totals,
@@ -64,19 +64,16 @@ def run_bench(models: Sequence[str] = BENCH_MODELS,
               slow: bool = False) -> dict:
     """Time ``models`` x ``workloads`` and return the benchmark record.
 
-    Traces (and their decoded caches) are built before the clock starts.
-    Each (model, workload) cell is timed independently and takes the
-    best of ``repeats`` runs — per-cell minima reject transient
-    scheduler noise much better than whole-matrix passes, where one
-    descheduling inflates every cell of that pass.  A model's wall time
-    is the sum of its cell minima.
+    Traces are built before the clock starts.  Each (model, workload)
+    cell is timed independently and takes the best of ``repeats`` runs
+    — per-cell minima reject transient scheduler noise much better than
+    whole-matrix passes, where one descheduling inflates every cell of
+    that pass.  A model's wall time is the sum of its cell minima.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     cache = TraceCache(scale)
     traces = [cache.trace(w) for w in workloads]
-    for trace in traces:
-        trace.decoded        # prebuild: decode time is not model time
 
     per_model: Dict[str, dict] = {}
     for model in models:
@@ -239,19 +236,17 @@ def profile_bench(models: Sequence[str] = BENCH_MODELS,
     Returns one record per cell: the model, the workload, the cell's
     profiled wall seconds, and the ``top`` hottest functions by
     cumulative time as ``(cumtime, tottime, ncalls, where)`` rows.
-    Traces and decode caches are prebuilt so the profile sees only the
-    timing loop — the same boundary ``run_bench`` times.  Profiled runs
-    carry interpreter tracing overhead, so the absolute seconds are not
-    comparable with ``run_bench`` records; the *shape* (which frames
-    dominate) is the product.
+    Traces are prebuilt so the profile sees only the timing loop — the
+    same boundary ``run_bench`` times.  Profiled runs carry interpreter
+    tracing overhead, so the absolute seconds are not comparable with
+    ``run_bench`` records; the *shape* (which frames dominate) is the
+    product.
     """
     import cProfile
     import pstats
 
     cache = TraceCache(scale)
     traces = {w: cache.trace(w) for w in workloads}
-    for trace in traces.values():
-        trace.decoded
     cells: List[dict] = []
     for model in models:
         for workload in workloads:

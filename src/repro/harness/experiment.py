@@ -55,6 +55,10 @@ class TraceCache:
         self.max_instructions = max_instructions
         self._traces: Dict[str, Trace] = {}
 
+    def __contains__(self, workload: str) -> bool:
+        """Whether ``workload``'s trace is already built."""
+        return workload in self._traces
+
     def trace(self, workload: str) -> Trace:
         if workload not in self._traces:
             program = build_workload(workload, self.scale)

@@ -10,9 +10,9 @@ pool must produce *bit-identical* stats to a serial
 Cells are dispatched to a ``concurrent.futures`` process pool *grouped
 by workload cell* — every model of a (workload, scale, options) triple
 lands on the same worker as one batch, so the group shares a single
-functional execution, decode and column build via the worker's
-process-global :class:`~repro.harness.experiment.TraceCache` instead of
-each worker re-deriving them.  Fault handling is two-layered:
+trace build (functional execution and column expansion) via the
+worker's process-global :class:`~repro.harness.experiment.TraceCache`
+instead of each worker re-deriving it.  Fault handling is two-layered:
 
 * **In-worker timeout** — every cell runs under a ``SIGALRM`` interval
   timer (the simulators are pure Python, so the signal interrupts even
@@ -124,12 +124,12 @@ class SweepError(RuntimeError):
 #: functionally executes any given workload at most once.
 _WORKER_TRACES: Dict[Tuple[float, str, int], TraceCache] = {}
 
-#: Per-process decode-build log, keyed by (workload, scale): how many
-#: times this process actually constructed a decoded-trace cache.  The
-#: grouped dispatch in :func:`_run_round` keeps this at one per key —
-#: every model of a workload lands on the same worker — which the
-#: decode-amortization test pins.
-_DECODE_BUILDS: Dict[Tuple[str, float], int] = {}
+#: Per-process trace-build log, keyed by (workload, scale): how many
+#: times this process functionally executed that workload.  The grouped
+#: dispatch in :func:`_run_round` keeps this at one per key — every
+#: model of a workload lands on the same worker — which the
+#: trace-amortization tests pin.
+_TRACE_BUILDS: Dict[Tuple[str, float], int] = {}
 
 
 def _worker_trace(spec: CellSpec):
@@ -140,19 +140,10 @@ def _worker_trace(spec: CellSpec):
         cache = TraceCache(spec.scale, compile_options=spec.compile_options,
                            max_instructions=spec.max_instructions)
         _WORKER_TRACES[key] = cache
-    trace = cache.trace(spec.workload)
-    if trace._decoded is None:
-        # Eager decode + column prebuild: the decoded cache and the
-        # shared issue columns (with the CSR dependence graphs hanging
-        # off them, built lazily per rename discipline) are derived
-        # read-only data — built once here, reused by every model of
-        # this (workload, scale) the worker simulates.
-        from ..isa.columns import columns_of
-
-        columns_of(trace.decoded)
+    if spec.workload not in cache:
         cell = (spec.workload, spec.scale)
-        _DECODE_BUILDS[cell] = _DECODE_BUILDS.get(cell, 0) + 1
-    return trace
+        _TRACE_BUILDS[cell] = _TRACE_BUILDS.get(cell, 0) + 1
+    return cache.trace(spec.workload)
 
 
 def simulate_cell(spec: CellSpec) -> SimStats:
@@ -240,9 +231,9 @@ def _execute_group(specs: Sequence[CellSpec],
                    timeout: Optional[float]) -> List[CellResult]:
     """Run one workload group's cells back-to-back in this worker.
 
-    All cells of the group share a trace, so the worker pays one
-    functional execution and one decode for the whole group; each cell
-    still runs under its own SIGALRM budget.
+    All cells of the group share a trace, so the worker pays one trace
+    build for the whole group; each cell still runs under its own
+    SIGALRM budget.
     """
     return [_execute_cell(spec, runner, timeout) for spec in specs]
 
@@ -254,7 +245,7 @@ def _run_round(specs: Sequence[CellSpec], jobs: int,
 
     Cells are dispatched to the pool *grouped by workload cell* (same
     workload, scale, compile options and budget), so every model of a
-    workload runs on the same worker and shares one trace build + decode
+    workload runs on the same worker and shares one trace build
     instead of each worker re-deriving them.
     """
     if jobs <= 1 or len(specs) <= 1:

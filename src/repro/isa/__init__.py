@@ -7,7 +7,6 @@ branches and the multipass ``RESTART`` directive.
 """
 
 from .builder import ProgramBuilder
-from .decoded import DecodedTrace
 from .functional import (ExecutionLimitExceeded, FunctionalSimulator, execute,
                          to_int32)
 from .instruction import Instruction
@@ -18,7 +17,7 @@ from .registers import (F, NUM_REGS, P, R, TRUE_PRED, ZERO_REG, is_fp_reg,
 from .trace import Trace, TraceEntry
 
 __all__ = [
-    "DecodedTrace", "F", "FUClass", "FunctionalSimulator",
+    "F", "FUClass", "FunctionalSimulator",
     "ExecutionLimitExceeded",
     "Instruction", "NUM_REGS", "Opcode", "OpSpec", "P", "Program",
     "ProgramBuilder", "ProgramError", "R", "TRUE_PRED", "Trace",

@@ -1,22 +1,19 @@
-"""Columnar trace data: flat int-array columns and static dependence CSR.
+"""Model- and machine-dependent data derived from a trace.
 
-Second stage of the decode pipeline (after :mod:`repro.isa.decoded`): the
-timing-core columnar kernels operate on *preallocated flat int arrays*
-indexed by dynamic sequence number, with no per-entry Python objects in
-the simulation hot loops.  This module derives those columns once per
-trace and caches them on the :class:`~repro.isa.decoded.DecodedTrace`.
+The per-seq columns every core reads live on the
+:class:`~repro.isa.trace.Trace` itself.  This module holds what a trace
+alone does not determine — data that depends on the timing model's
+rename discipline or on the machine's I-cache geometry — as functions
+of the trace, memoized in ``trace.derived`` so a whole model sweep
+shares one build:
 
-Two kinds of columns live here:
-
-* **Issue-resource columns** — ``port_code`` (the
-  :data:`~repro.resources.PORT_CODE` small-int class of each entry) and
-  ``queue_code`` (which decentralized issue queue the entry occupies on
-  the realistic OOO model).  Every core used to rebuild ``port_code``
-  with a per-run list comprehension; sharing it here means one build per
-  trace across a whole sweep.
-
-* **The static dependence graph** — per-seq producer and consumer lists
-  in CSR form (``prod_off``/``prod_seq`` and ``cons_off``/``cons_seq``).
+* :func:`dependences` — the static dependence graph in CSR form
+  (``prod_off``/``prod_seq`` and ``cons_off``/``cons_seq``) for one
+  rename discipline, and :func:`issue_kind`, the OOO kernel's packed
+  issue-path flags over it;
+* :func:`fetch_lines` / :func:`fetch_runs` — per-seq I-cache lines and
+  same-line run ends for one geometry;
+* :func:`event_pairs` — the OOO kernel's prebuilt wheel entries.
 
 The dependence graph is *exact*, not an approximation, because every
 timing model replays the architecturally correct trace in sequence
@@ -31,33 +28,30 @@ here, instead of being rediscovered at every dispatch.  Producer order
 matches the dispatch-time dict construction (source order, first
 occurrence wins), which the stall-attribution rules depend on.
 
-Like :class:`~repro.isa.decoded.DecodedTrace`, everything here is
-derived read-only data: columns never change simulation semantics.  The
-equivalence of the static producer sets with the dynamic rename-table
-walk is pinned by ``tests/isa/test_columns.py``.
+Everything here is derived read-only data: it never changes simulation
+semantics.  The equivalence of the static producer sets with the
+dynamic rename-table walk is pinned by ``tests/isa/test_columns.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple, TypeVar
 
-from ..resources import PORT_CODE
-from .opcodes import FUClass
 from .registers import NUM_REGS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .decoded import DecodedTrace
+    from .trace import Trace
 
-#: Decentralized-issue-queue class per FU (realistic OOO model):
-#: 0 = memory queue, 1 = integer queue (ALU/BR/slot-only), 2 = FP queue.
-QUEUE_CODE = {
-    FUClass.MEM: 0,
-    FUClass.ALU: 1,
-    FUClass.BR: 1,
-    FUClass.NONE: 1,
-    FUClass.FP: 2,
-    FUClass.MULDIV: 2,
-}
+T = TypeVar("T")
+
+
+def _memo(trace: "Trace", key: tuple, build: Callable[[], T]) -> T:
+    """``build()`` once per ``(trace, key)``, cached in ``trace.derived``."""
+    derived = trace.derived
+    value = derived.get(key)
+    if value is None:
+        value = derived[key] = build()
+    return value
 
 
 class DependenceGraph:
@@ -79,13 +73,13 @@ class DependenceGraph:
     __slots__ = ("merged_dests", "prod_off", "prod_seq",
                  "cons_off", "cons_seq", "_prod_tuples", "_cons_tuples")
 
-    def __init__(self, dec: "DecodedTrace", merged_dests: bool):
+    def __init__(self, trace: "Trace", merged_dests: bool):
         self.merged_dests = merged_dests
-        n = dec.n
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_sdests = dec.static_dests
-        d_pred = dec.is_predicated
+        n = len(trace)
+        d_srcs = trace.srcs
+        d_dests = trace.dests
+        d_sdests = trace.static_dests
+        d_pred = trace.is_predicated
 
         last_writer = [-1] * NUM_REGS
         prod_off = [0] * (n + 1)
@@ -168,140 +162,70 @@ class DependenceGraph:
                                    self.prod_off[seq + 1]])
 
 
-class TraceColumns:
-    """Shared flat columns + lazily built dependence graphs."""
+def dependences(trace: "Trace",
+                merged_dests: bool = False) -> DependenceGraph:
+    """The static dependence graph for one rename discipline."""
+    return _memo(trace, ("dependences", merged_dests),
+                 lambda: DependenceGraph(trace, merged_dests))
 
-    __slots__ = ("n", "port_code", "queue_code", "_dec", "_graphs",
-                 "_fetch_lines", "_fetch_runs", "_mp_kind", "_issue_kind",
-                 "_ev_pairs")
 
-    def __init__(self, dec: "DecodedTrace"):
-        self.n = dec.n
-        port = PORT_CODE
-        queue = QUEUE_CODE
-        self.port_code = [port[fu] for fu in dec.issue_fu]
-        self.queue_code = [queue[fu] for fu in dec.issue_fu]
-        self._dec = dec
-        self._graphs: Dict[bool, DependenceGraph] = {}
-        self._fetch_lines: Dict[Tuple[int, int], List[int]] = {}
-        self._fetch_runs: Dict[Tuple[int, int], List[int]] = {}
-        self._mp_kind: Optional[List[int]] = None
-        self._issue_kind: Dict[bool, bytes] = {}
-        self._ev_pairs: Optional[List[Tuple[int, int]]] = None
+def fetch_lines(trace: "Trace", inst_bytes: int,
+                line_size: int) -> List[int]:
+    """Per-seq I-cache line id column (``pc * inst_bytes // line``).
 
-    def dependences(self, merged_dests: bool = False) -> DependenceGraph:
-        """The static dependence graph for one rename discipline."""
-        graph = self._graphs.get(merged_dests)
-        if graph is None:
-            graph = DependenceGraph(self._dec, merged_dests)
-            self._graphs[merged_dests] = graph
-        return graph
+    The front end walks this instead of recomputing the line of every
+    fetched seq.
+    """
+    return _memo(trace, ("fetch_lines", inst_bytes, line_size),
+                 lambda: [pc * inst_bytes // line_size for pc in trace.pc])
 
-    def fetch_lines(self, inst_bytes: int, line_size: int) -> List[int]:
-        """Per-seq I-cache line id column (``pc * inst_bytes // line``).
 
-        The front end walks this instead of chasing
-        ``entry.inst.index`` per fetched entry; cached per geometry so
-        a whole model sweep shares one build.
-        """
-        key = (inst_bytes, line_size)
-        lines = self._fetch_lines.get(key)
-        if lines is None:
-            lines = [pc * inst_bytes // line_size for pc in self._dec.pc]
-            self._fetch_lines[key] = lines
-        return lines
+def fetch_runs(trace: "Trace", inst_bytes: int,
+               line_size: int) -> List[int]:
+    """Per-seq same-line run ends over :func:`fetch_lines`.
 
-    def fetch_runs(self, inst_bytes: int, line_size: int) -> List[int]:
-        """Per-seq same-line run ends over :meth:`fetch_lines`.
-
-        ``runs[i]`` is the first seq past ``i`` whose cache line
-        differs, so a front end whose current line is already hot can
-        advance to the run end in one step instead of per-seq.
-        """
-        key = (inst_bytes, line_size)
-        runs = self._fetch_runs.get(key)
-        if runs is None:
-            lines = self.fetch_lines(inst_bytes, line_size)
-            n = self.n
-            runs = [n] * n
-            for i in range(n - 2, -1, -1):
-                if lines[i] != lines[i + 1]:
-                    runs[i] = i + 1
-                else:
-                    runs[i] = runs[i + 1]
-            self._fetch_runs[key] = runs
+    ``runs[i]`` is the first seq past ``i`` whose cache line differs, so
+    a front end whose current line is already hot can advance to the
+    run end in one step instead of per-seq.
+    """
+    def build() -> List[int]:
+        lines = fetch_lines(trace, inst_bytes, line_size)
+        n = len(lines)
+        runs = [n] * n
+        for i in range(n - 2, -1, -1):
+            if lines[i] != lines[i + 1]:
+                runs[i] = i + 1
+            else:
+                runs[i] = runs[i + 1]
         return runs
-
-    def issue_kind(self, merged_dests: bool = False) -> bytes:
-        """Packed per-seq issue-path flags for the OOO kernel.
-
-        Bit 0: memory-executing, bit 1: branch, bit 2: has static
-        consumers under the given rename discipline.  One subscript in
-        the issue tail replaces three flag-column probes (and the
-        common plain-ALU-with-consumers shape tests as a single byte).
-        """
-        kind = self._issue_kind.get(merged_dests)
-        if kind is None:
-            dec = self._dec
-            d_mem = dec.mem_exec
-            d_branch = dec.is_branch
-            off = self.dependences(merged_dests).cons_off
-            kind = bytes(
-                (1 if d_mem[s] else 0)
-                | (2 if d_branch[s] else 0)
-                | (4 if off[s] != off[s + 1] else 0)
-                for s in range(self.n))
-            self._issue_kind[merged_dests] = kind
-        return kind
-
-    def event_pairs(self) -> List[Tuple[int, int]]:
-        """Generation-zero ``(seq, gen)`` wheel entries, one per seq.
-
-        The OOO kernel copies this list and re-points an entry only
-        when a squash bumps that seq's generation, so the hot event
-        push appends a prebuilt pair instead of building a tuple.
-        """
-        pairs = self._ev_pairs
-        if pairs is None:
-            pairs = [(s, 0) for s in range(self.n)]
-            self._ev_pairs = pairs
-        return pairs
-
-    def multipass_kind(self) -> List[int]:
-        """Advance-dispatch class per seq for the multipass kernel.
-
-        ``0`` = executed ALU/FP/other, ``1`` = predicate-nullified,
-        ``2`` = executed branch, ``3`` = executed store, ``4`` =
-        executed load — one subscript in place of the
-        executed/branch/store/load flag cascade of the advance execute
-        dispatch (the flags are trace-static, so the cascade's outcome
-        is too).
-        """
-        kind = self._mp_kind
-        if kind is None:
-            dec = self._dec
-            executed = dec.executed
-            is_branch = dec.is_branch
-            is_store = dec.is_store
-            is_load = dec.is_load
-            kind = [0] * self.n
-            for seq in range(self.n):
-                if not executed[seq]:
-                    kind[seq] = 1
-                elif is_branch[seq]:
-                    kind[seq] = 2
-                elif is_store[seq]:
-                    kind[seq] = 3
-                elif is_load[seq]:
-                    kind[seq] = 4
-            self._mp_kind = kind
-        return kind
+    return _memo(trace, ("fetch_runs", inst_bytes, line_size), build)
 
 
-def columns_of(dec: "DecodedTrace") -> TraceColumns:
-    """Return (building on first use) the column set of a decoded trace."""
-    cols = dec._columns
-    if cols is None:
-        cols = TraceColumns(dec)
-        dec._columns = cols
-    return cols
+def issue_kind(trace: "Trace", merged_dests: bool = False) -> bytes:
+    """Packed per-seq issue-path flags for the OOO kernel.
+
+    Bit 0: memory-executing, bit 1: branch, bit 2: has static consumers
+    under the given rename discipline.  One subscript in the issue tail
+    replaces three flag-column probes (and the common
+    plain-ALU-with-consumers shape tests as a single byte).
+    """
+    def build() -> bytes:
+        d_mem = trace.mem_exec
+        d_branch = trace.is_branch
+        off = dependences(trace, merged_dests).cons_off
+        return bytes((1 if d_mem[s] else 0)
+                     | (2 if d_branch[s] else 0)
+                     | (4 if off[s] != off[s + 1] else 0)
+                     for s in range(len(trace)))
+    return _memo(trace, ("issue_kind", merged_dests), build)
+
+
+def event_pairs(trace: "Trace") -> List[Tuple[int, int]]:
+    """Generation-zero ``(seq, gen)`` wheel entries, one per seq.
+
+    The OOO kernel copies this list and re-points an entry only when a
+    squash bumps that seq's generation, so the hot event push appends a
+    prebuilt pair instead of building a tuple.
+    """
+    return _memo(trace, ("event_pairs",),
+                 lambda: [(s, 0) for s in range(len(trace))])

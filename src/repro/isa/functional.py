@@ -2,7 +2,7 @@
 
 Executes a :class:`~repro.isa.program.Program` to completion under ILP32
 semantics (32-bit two's-complement integers, Table 2 of the paper) and
-records the dynamic :class:`~repro.isa.trace.Trace` that all timing models
+records the columnar :class:`~repro.isa.trace.Trace` that all timing models
 replay.  This is also the reference against which multipass result
 preservation is verified: every value the multipass core merges from its
 result store must equal the value recorded here.
@@ -16,7 +16,10 @@ from .instruction import Instruction
 from .opcodes import Opcode
 from .program import Program, check_alignment
 from .registers import TRUE_PRED, ZERO_REG, is_pred_reg
-from .trace import Trace, TraceEntry
+from .trace import DYNAMIC_COLUMNS, Trace, TraceEntry
+
+#: The dynamic fields of a HALT: it reads and writes nothing.
+_HALT_FIELDS = ((), (), None, None, False, True)
 
 _MASK32 = 0xFFFFFFFF
 _SIGN32 = 0x80000000
@@ -71,12 +74,18 @@ class FunctionalSimulator:
     def run(self, truncate_ok: bool = False) -> Trace:
         """Execute until HALT (or the instruction limit) and return the trace.
 
+        Each retired instruction's fields are appended straight into the
+        trace's dynamic columns.
+
         Args:
             truncate_ok: when True, hitting ``max_instructions`` yields a
                 truncated trace instead of raising.  Workload generators use
                 this deliberately for open-ended kernels.
         """
-        entries = []
+        columns = tuple([] for _ in DYNAMIC_COLUMNS)
+        insts = columns[0]
+        (add_inst, add_srcs, add_dests, add_addr, add_value, add_taken,
+         add_executed) = [column.append for column in columns]
         program = self.program
         n_static = len(program)
         truncated = False
@@ -86,7 +95,7 @@ class FunctionalSimulator:
                     f"{program.name}: fell off the end of the program at "
                     f"pc={self.pc}"
                 )
-            if len(entries) >= self.max_instructions:
+            if len(insts) >= self.max_instructions:
                 if truncate_ok:
                     truncated = True
                     break
@@ -95,12 +104,19 @@ class FunctionalSimulator:
                     f"dynamic instructions"
                 )
             inst = program[self.pc]
-            if inst.opcode is Opcode.HALT:
-                entries.append(TraceEntry(inst, len(entries), (), ()))
+            halt = inst.opcode is Opcode.HALT
+            srcs, dests, addr, value, taken, executed = (
+                _HALT_FIELDS if halt else self._step(inst))
+            add_inst(inst)
+            add_srcs(srcs)
+            add_dests(dests)
+            add_addr(addr)
+            add_value(value)
+            add_taken(taken)
+            add_executed(executed)
+            if halt:
                 break
-            entry = self._step(inst, len(entries))
-            entries.append(entry)
-        return Trace(program, entries, dict(self.registers),
+        return Trace(program, columns, dict(self.registers),
                      dict(self.memory), truncated=truncated)
 
     def step(self, seq: int) -> TraceEntry:
@@ -112,12 +128,17 @@ class FunctionalSimulator:
         ``HALT`` yields its trace entry without advancing the pc.
         """
         inst = self.program[self.pc]
-        if inst.opcode is Opcode.HALT:
-            return TraceEntry(inst, seq, (), ())
-        return self._step(inst, seq)
+        srcs, dests, addr, value, taken, executed = (
+            _HALT_FIELDS if inst.opcode is Opcode.HALT else self._step(inst))
+        return TraceEntry(inst, seq, dests, srcs, addr, value, taken,
+                          executed)
 
-    def _step(self, inst: Instruction, seq: int) -> TraceEntry:
-        """Execute one instruction and advance the pc."""
+    def _step(self, inst: Instruction) -> tuple:
+        """Execute one instruction and advance the pc.
+
+        Returns the dynamic fields ``(srcs, dests, addr, value, taken,
+        executed)``.
+        """
         op = inst.opcode
         pred_true = bool(self.read_reg(inst.pred))
         if not pred_true:
@@ -125,9 +146,8 @@ class FunctionalSimulator:
             # through (a nullified branch is not taken).
             self.pc += 1
             srcs = (inst.pred,) if inst.is_predicated else ()
-            return TraceEntry(inst, seq, (), srcs, executed=False)
+            return srcs, (), None, None, False, False
 
-        srcs = inst.read_regs()
         dests = inst.dests
         next_pc = self.pc + 1
         addr: Optional[int] = None
@@ -173,8 +193,7 @@ class FunctionalSimulator:
             raise NotImplementedError(f"unhandled opcode {op}")
 
         self.pc = next_pc
-        return TraceEntry(inst, seq, dests, srcs, addr=addr, value=value,
-                          taken=taken)
+        return inst.read_regs(), dests, addr, value, taken, True
 
 
 def _shift_amount(b: int) -> int:

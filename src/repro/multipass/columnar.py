@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from ..isa.columns import columns_of
+from ..isa.columns import fetch_runs
 from ..isa.opcodes import Opcode
 from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
@@ -78,27 +78,26 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     reference loop).
     """
     trace = core.trace
-    entries = trace.entries
-    dec = trace.decoded
-    n = dec.n
-    d_srcs = dec.srcs
-    d_dests = dec.dests
-    d_lat = dec.latency
-    d_mem = dec.mem_exec
-    d_load = dec.is_load
-    d_store = dec.is_store
-    d_branch = dec.is_branch
-    d_restart = dec.is_restart
-    d_executed = dec.executed
-    d_stop = dec.stop
-    d_addr = dec.addr
-    d_value = dec.value
-    d_taken = dec.taken
-    d_pc = dec.pc
-    port_code = core._port_code
+    n = len(trace)
+    d_inst = trace.inst
+    d_srcs = trace.srcs
+    d_dests = trace.dests
+    d_lat = trace.latency
+    d_mem = trace.mem_exec
+    d_load = trace.is_load
+    d_store = trace.is_store
+    d_branch = trace.is_branch
+    d_restart = trace.is_restart
+    d_executed = trace.executed
+    d_stop = trace.stop
+    d_addr = trace.addr
+    d_value = trace.value
+    d_taken = trace.taken
+    d_pc = trace.pc
+    port_code = trace.port_code
     # Advance-dispatch class (0 ALU/other, 1 nullified, 2 branch,
     # 3 store, 4 load), trace-static and shared across models.
-    d_kind = columns_of(dec).multipass_kind()
+    d_kind = trace.multipass_kind
 
     config = core.config
     frontend = core.frontend
@@ -188,8 +187,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Same-line fetch runs: ``f_run[i]`` is the first seq past ``i`` on
     # a different cache line, so a fetch group whose line is already
     # hot advances to the run end in one step instead of per-seq.
-    f_run = columns_of(dec).fetch_runs(inst_bytes,
-                                       frontend._line_size)
+    f_run = fetch_runs(trace, inst_bytes, frontend._line_size)
     # Front-end scalars, localized for the whole run (written back at
     # the bottom; nothing else reads them while the kernel runs).
     f_fetched = frontend.fetched_until
@@ -429,10 +427,10 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         continue
                 slots = 0
                 if adv_ptr < window_end and width:
-                    # The scalar loop re-arms wake=None at the top of
-                    # every slot; only the final iteration's value
-                    # survives, so arming once before the loop (and on
-                    # the explicit break paths) is equivalent.
+                    # Any processed slot makes the cycle non-skippable;
+                    # only the final iteration's hint survives, so
+                    # arming once before the loop (and on the explicit
+                    # break paths) covers every slot.
                     wake = None
                 while adv_ptr < window_end and slots < width:
                     seq = adv_ptr
@@ -568,9 +566,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 pass_dead = True
                                 n_advance_wrong += 1
                         elif d_store[seq]:
-                            inst = entries[seq].inst
-                            data_reg = inst.srcs[0]
-                            base_reg = inst.srcs[1]
+                            data_reg, base_reg = d_inst[seq].srcs[:2]
                             st = sp_state[base_reg]
                             base_inv = (
                                 st != sA
@@ -843,7 +839,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             sp_state[dest] = sA
                             srf_ready[dest] = now + latency
                             pready_stamp[dest] = 0
-                        if persist and (dests or entries[seq].inst.opcode
+                        if persist and (dests or d_inst[seq].opcode
                                         is NOP):
                             n_rs_writes += 1
                             rs_live[seq] = 1
@@ -1061,7 +1057,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     for seq in range(aptr, aptr + width):
                         rs_live[seq] = 0
                         if replay is not None:
-                            replay.commit(entries[seq])
+                            core.commit_entry(seq)
                         for dest in d_dests[seq]:
                             reg_ready[dest] = cyc
                             pending[dest] = 0
@@ -1092,8 +1088,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         dynamic_groups = enable_regroup and rallying
 
         if aptr < fetched_until and width:
-            # Same pre-arming as the advance loop: the scalar reference
-            # resets wake=None per dequeue; only the last value is read.
+            # Same pre-arming as the advance loop: any dequeue makes the
+            # cycle non-skippable unless a break path re-arms the hint.
             wake = None
         while aptr < fetched_until and issued < width:
             seq = aptr
@@ -1114,7 +1110,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     n_rally_merges += 1
                     n_instructions += 1
                     if replay is not None:
-                        replay.commit(entries[seq])
+                        core.commit_entry(seq)
                     for dest in d_dests[seq]:
                         reg_ready[dest] = now
                         pending[dest] = 0
@@ -1197,7 +1193,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     l1_miss = result.l1_miss
                 n_instructions += 1
                 if replay is not None:
-                    replay.commit(entries[seq])
+                    core.commit_entry(seq)
                 done = now + latency
                 for dest in d_dests[seq]:
                     reg_ready[dest] = done
@@ -1352,7 +1348,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     pending[d] = done if l1_miss else 0
             n_instructions += 1
             if replay is not None:
-                replay.commit(entries[seq])
+                core.commit_entry(seq)
             issued += 1
             aptr = seq + 1
             if d_branch[seq]:

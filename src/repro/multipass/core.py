@@ -23,13 +23,10 @@ Ablation flags reproduce Figure 8 (``enable_regroup``/``enable_restart``),
 and disabling result persistence (``persist_results=False``) with both
 ablations yields the Dundas–Mudge runahead model of Figure 1(b).
 
-The simulation loop has a fast path (see
-:meth:`~repro.pipeline.base.BaseCore.next_event_cycle`): cycles that are
-provably pure polls — nothing can change before a known wake-up cycle —
-are charged as one span with the per-cycle poll counters replicated, so
-stats stay bit-identical to the cycle-by-cycle loop.  ``slow=True``
-disables the skips; tracing and ``record_modes`` also force the per-cycle
-loop because they observe every cycle.
+The production path is the event-driven columnar kernel
+(:mod:`repro.multipass.columnar`).  The scalar loop in this module is
+the cycle-by-cycle specification it is pinned against: ``slow=True``,
+tracing and ``record_modes`` run it, because they observe every cycle.
 """
 
 from __future__ import annotations
@@ -37,10 +34,9 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional
 
-from ..isa.columns import columns_of
 from ..isa.opcodes import Opcode
 from ..isa.registers import NUM_REGS
-from ..isa.trace import Trace, TraceEntry
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
@@ -48,11 +44,6 @@ from .asc import (HIT, HIT_INVALID, INVALID, MISS_SPECULATIVE,
                   AdvanceStoreCache)
 from .columnar import run_columnar
 from .result_store import ResultStore, RSEntry
-
-#: "No internal event": a fast-forward hint meaning the issue logic found
-#: nothing that could change on its own — the skip is bounded only by the
-#: mode deadline (``trigger_ready``) and the front end.
-_INF = 1 << 62
 
 
 class Mode(enum.Enum):
@@ -144,66 +135,60 @@ class MultipassCore(BaseCore):
         self.pass_dead = False              # advance went down a wrong path
         self.adv_stall_until = 0
         self.arch_stall_until = 0
-        # Decoded-trace cache handle (shared read-only with other cores
-        # replaying the same trace).
-        self._dec = trace.decoded
-        # Small-int port class per seq for the inlined issue-port
-        # counters in both issue loops (shared column, built once per
-        # trace).
-        self._port_code = columns_of(self._dec).port_code
 
     # ------------------------------------------------------------------
     # runtime invariants (the --check flag)
     # ------------------------------------------------------------------
 
     def _invariant(self, cond: bool, message: str,
-                   entry: Optional[TraceEntry] = None) -> None:
+                   seq: Optional[int] = None) -> None:
         """Raise ``InvariantError`` when a checked invariant fails."""
         if cond:
             return
         from ..analysis.diagnostics import InvariantError
-        where = (f" at #{entry.seq} {entry.inst.render()}"
-                 if entry is not None else "")
+        where = (f" at #{seq} {self.trace.inst[seq].render()}"
+                 if seq is not None else "")
         raise InvariantError(
             f"[{self.model_name}/{self.trace.program.name}]{where}: "
             f"{message}")
 
-    def _check_merge(self, entry: TraceEntry, rs_entry: RSEntry,
-                     now: int) -> None:
+    def _check_merge(self, seq: int, rs_entry: RSEntry, now: int) -> None:
         """Rally merges must consume exactly the preserved valid result."""
+        trace = self.trace
         self._invariant(
-            rs_entry.seq == entry.seq,
+            rs_entry.seq == seq,
             f"RS entry seq {rs_entry.seq} merged into committing seq "
-            f"{entry.seq}", entry)
+            f"{seq}", seq)
         self._invariant(
             rs_entry.done(now),
             f"merged RS entry not done until cycle {rs_entry.ready} "
-            f"(now={now}): stale in-flight result served", entry)
+            f"(now={now}): stale in-flight result served", seq)
         self._invariant(
             not rs_entry.sbit,
-            "data-speculative RS entry merged without verification", entry)
-        if entry.is_load:
+            "data-speculative RS entry merged without verification", seq)
+        if trace.is_load[seq]:
             self._invariant(
-                rs_entry.value == entry.value,
+                rs_entry.value == trace.value[seq],
                 f"merged load value {rs_entry.value!r} differs from "
-                f"architectural value {entry.value!r}", entry)
+                f"architectural value {trace.value[seq]!r}", seq)
         if rs_entry.is_store:
             self._invariant(
-                rs_entry.addr == entry.addr,
+                rs_entry.addr == trace.addr[seq],
                 f"merged store address {rs_entry.addr!r} differs from "
-                f"architectural address {entry.addr!r}", entry)
+                f"architectural address {trace.addr[seq]!r}", seq)
 
     # ------------------------------------------------------------------
     # mode transitions
     # ------------------------------------------------------------------
 
-    def _enter_advance(self, trigger: TraceEntry, wait_until: int,
+    def _enter_advance(self, trigger: int, wait_until: int,
                        now: int) -> None:
-        """Architectural stall on a load: start (or re-start) preexecution."""
+        """Architectural stall on a load at trace index ``trigger``:
+        start (or re-start) preexecution."""
         self.mode = Mode.ADVANCE
-        self.trigger_seq = trigger.seq
+        self.trigger_seq = trigger
         self.trigger_ready = wait_until
-        self.adv_ptr = trigger.seq
+        self.adv_ptr = trigger
         self.adv_stall_until = now + self.config.advance_entry_delay
         self._reset_pass_state()
         self.stats.counters["advance_entries"] += 1
@@ -235,8 +220,8 @@ class MultipassCore(BaseCore):
         self.adv_stall_until = refill
         self.stats.counters["advance_restarts"] += 1
         if self.tracer.enabled:
-            trigger = self.trace.entries[self.trigger_seq]
-            self.tracer.restart(now, trigger.seq, trigger.inst.index)
+            trigger = self.trigger_seq
+            self.tracer.restart(now, trigger, self.trace.pc[trigger])
 
     def _enter_rally(self, now: int) -> None:
         """The trigger operand arrived: resume the architectural stream.
@@ -259,15 +244,14 @@ class MultipassCore(BaseCore):
     # advance-mode operand resolution
     # ------------------------------------------------------------------
 
-    def _advance_source_state(self, srcs, now: int):
+    def _advance_source_state(self, srcs, now: int) -> str:
         """Classify an advance instruction's operands.
 
-        Returns ``(status, wait_until)`` where status is one of
-        ``"ready"``, ``"wait"`` (a fixed-latency producer is in flight —
-        the in-order advance stream waits for its bypass) or
+        Returns ``"ready"``, ``"wait"`` (a fixed-latency producer is in
+        flight — the in-order advance stream waits for its bypass) or
         ``"invalid"`` (a poisoned or cache-missing producer: suppress).
         """
-        wait_until = now
+        waits = False
         epoch = self._srf_epoch
         srf_stamp = self._srf_stamp
         srf_ready = self._srf_ready
@@ -276,47 +260,30 @@ class MultipassCore(BaseCore):
         pending = self.load_miss_pending
         for src in srcs:
             if srf_stamp[src] == epoch:        # A-bit: read the SRF value
-                adv_ready = srf_ready[src]
-                if adv_ready > wait_until:
-                    wait_until = adv_ready
+                if srf_ready[src] > now:
+                    waits = True
                 continue
             if poison_stamp[src] == epoch:     # I-bit
-                return "invalid", now
-            arch_ready = reg_ready[src]
-            if arch_ready > now:
+                return "invalid"
+            if reg_ready[src] > now:
                 if pending[src] > now:
-                    return "invalid", now      # missing load: defer
-                if arch_ready > wait_until:
-                    wait_until = arch_ready
-        if wait_until > now:
-            return "wait", wait_until
-        return "ready", now
+                    return "invalid"           # missing load: defer
+                waits = True
+        return "wait" if waits else "ready"
 
     # ------------------------------------------------------------------
     # advance-mode issue
     # ------------------------------------------------------------------
 
-    def _issue_advance_cycle(self, now: int):
-        """Issue one advance-mode cycle.
-
-        Returns ``(new_execs, wake, peeks)``.  ``wake`` is the
-        fast-forward hint for this cycle: ``None`` means state changed
-        (not skippable); a cycle number means the cycle was a pure poll
-        that repeats identically until then; ``_INF`` means there is no
-        advance-internal event at all (window edge / dead pass), so the
-        skip is bounded only by ``trigger_ready`` and the front end.
-        ``peeks`` is the per-cycle ``iq_peeks`` poll count to replicate
-        over skipped cycles.
-        """
-        if self.pass_dead:
-            return 0, _INF, 0
-        if now < self.adv_stall_until:
-            return 0, self.adv_stall_until, 0
-        dec = self.trace.decoded
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_restart = dec.is_restart
-        entries = self.trace.entries
+    def _issue_advance_cycle(self, now: int) -> int:
+        """Issue one advance-mode cycle; returns the new executions."""
+        if self.pass_dead or now < self.adv_stall_until:
+            return 0
+        trace = self.trace
+        d_srcs = trace.srcs
+        d_dests = trace.dests
+        d_restart = trace.is_restart
+        d_pc = trace.pc
         counters = self.stats.counters
         rs_get = self.rs.get if self.persist_results else None
         tel = self.tracer if self.tracer.enabled else None
@@ -325,9 +292,9 @@ class MultipassCore(BaseCore):
         i_ports = ports.i_ports
         f_ports = ports.f_ports
         b_ports = ports.b_ports
-        port_code = self._port_code
+        port_code = trace.port_code
         m_used = i_used = f_used = b_used = 0
-        window_end = min(dec.n, self.frontend.fetched_until,
+        window_end = min(len(trace), self.frontend.fetched_until,
                          self.arch_ptr + self.buffer_size)
         epoch = self._srf_epoch
         srf_stamp = self._srf_stamp
@@ -339,12 +306,9 @@ class MultipassCore(BaseCore):
         width = self.config.ports.width
         slots = 0
         new_execs = 0
-        wake = _INF
-        peeks = 0
 
         while self.adv_ptr < window_end and slots < width:
             seq = self.adv_ptr
-            wake = None
             counters["iq_peeks"] += 1
 
             rs_entry = rs_get(seq) if rs_get is not None else None
@@ -367,15 +331,13 @@ class MultipassCore(BaseCore):
                     poison_stamp[dest] = 0
                 counters["advance_merges"] += 1
                 if tel is not None:
-                    tel.rs_hit(now, seq, entries[seq].inst.index,
-                               mode="advance")
+                    tel.rs_hit(now, seq, d_pc[seq], mode="advance")
                 self.adv_ptr = seq + 1
                 slots += 1
                 continue
 
             if d_restart[seq] and enable_restart:
-                status, _ = self._advance_source_state(d_srcs[seq], now)
-                if status != "ready":
+                if self._advance_source_state(d_srcs[seq], now) != "ready":
                     pending = self.load_miss_pending
                     hints = []
                     for src in d_srcs[seq]:
@@ -385,25 +347,17 @@ class MultipassCore(BaseCore):
                             hints.append(pending[src])
                     self._advance_restart(now, max(hints) if hints
                                           else None)
-                    return new_execs, None, 0
+                    return new_execs
                 self.adv_ptr = seq + 1
                 slots += 1
                 continue
 
-            status, wait_until = self._advance_source_state(d_srcs[seq],
-                                                            now)
+            status = self._advance_source_state(d_srcs[seq], now)
             if status == "wait":
-                # In-order advance stream waits for a bypass.  Breaking
-                # on the very first slot is a pure poll (only the peek
-                # counter moved) and repeats identically every cycle
-                # until the bypass arrives.
-                if slots == 0:
-                    wake = wait_until
-                    peeks = 1
-                break
+                break        # in-order advance stream waits for a bypass
 
             if status == "invalid":
-                new_execs += self._defer_advance(entries[seq], now)
+                new_execs += self._defer_advance(seq, now)
                 self._pass_defers += 1
                 slots += 1
                 if self.pass_dead:
@@ -431,68 +385,63 @@ class MultipassCore(BaseCore):
                 if b_used >= b_ports:
                     break
                 b_used += 1
-            executed = self._execute_advance(entries[seq], now)
+            executed = self._execute_advance(seq, now)
             new_execs += executed
             self._pass_execs += executed
             slots += 1
             if self.pass_dead:
                 break
         if self.hardware_restart and not self.pass_dead:
-            if self._maybe_hardware_restart(now):
-                wake = None
-        return new_execs, wake, peeks
+            self._maybe_hardware_restart(now)
+        return new_execs
 
-    def _maybe_hardware_restart(self, now: int) -> bool:
+    def _maybe_hardware_restart(self, now: int) -> None:
         """Footnote-1 mechanism: restart a fruitless pass on its own.
 
         Fires when the current pass is dominated by deferrals and a
         poisoned value has a known arrival time to rendezvous with;
         without an in-flight fill nothing would change, so the pass is
-        left to keep prefetching instead.  Returns True when it fired.
-        Every blocker is stable or monotone while the pass is idle, so a
-        non-firing check stays non-firing across a fast-forward span.
+        left to keep prefetching instead.
         """
         processed = self._pass_execs + self._pass_defers
         if processed < self.hw_restart_window:
-            return False
+            return
         if self._pass_execs >= processed * self.hw_restart_fraction:
-            return False
+            return
         epoch = self._srf_epoch
         pready_stamp = self._pready_stamp
         pready_val = self._pready_val
         pending = [pready_val[r] for r in range(NUM_REGS)
                    if pready_stamp[r] == epoch and pready_val[r] > now]
         if not pending:
-            return False
+            return
         self._advance_restart(now, min(pending))
         self.stats.counters["hardware_restarts"] += 1
-        return True
 
-    def _defer_advance(self, entry: TraceEntry, now: int) -> int:
+    def _defer_advance(self, seq: int, now: int) -> int:
         """Suppress an advance instruction with invalid operands."""
-        dec = self._dec
-        seq = entry.seq
+        trace = self.trace
         self.stats.counters["advance_deferrals"] += 1
         epoch = self._srf_epoch
-        for dest in dec.dests[seq]:
+        for dest in trace.dests[seq]:
             self._poison_stamp[dest] = epoch
             self._srf_stamp[dest] = 0
-        if dec.is_branch[seq]:
+        if trace.is_branch[seq]:
             # Direction unknown: follow the prediction.  When it disagrees
             # with the actual outcome the advance stream has gone down the
             # wrong path and the rest of this pass is unproductive.
-            if not self.predictor.peek_correct(dec.pc[seq], entry.taken):
+            if not self.predictor.peek_correct(trace.pc[seq],
+                                               trace.taken[seq]):
                 self.pass_dead = True
                 self.stats.counters["advance_wrong_path"] += 1
-        elif dec.is_store[seq]:
-            inst = entry.inst
-            data_reg, base_reg = inst.srcs[0], inst.srcs[1]
-            if self._advance_reg_invalid(base_reg, now) or \
-                    (entry.addr is None):
+        elif trace.is_store[seq]:
+            data_reg, base_reg = trace.inst[seq].srcs[:2]
+            addr = trace.addr[seq]
+            if self._advance_reg_invalid(base_reg, now) or addr is None:
                 self.unknown_store = True
                 self.stats.counters["unknown_address_stores"] += 1
             elif self._advance_reg_invalid(data_reg, now):
-                self.asc.write(entry.addr, INVALID)
+                self.asc.write(addr, INVALID)
         self.adv_ptr += 1
         return 0
 
@@ -505,62 +454,62 @@ class MultipassCore(BaseCore):
         return (self.reg_ready[reg] > now
                 and self.load_miss_pending[reg] > now)
 
-    def _execute_advance(self, entry: TraceEntry, now: int) -> int:
+    def _execute_advance(self, seq: int, now: int) -> int:
         """Execute one valid advance instruction; returns 1 if it counts
         as a new execution."""
-        dec = self._dec
-        seq = entry.seq
+        trace = self.trace
         self.stats.counters["advance_executions"] += 1
         if self.tracer.enabled:
-            self.tracer.issue(now, seq, dec.pc[seq], mode="advance")
+            self.tracer.issue(now, seq, trace.pc[seq], mode="advance")
 
-        if not dec.executed[seq]:
+        if not trace.executed[seq]:
             # Predicate-nullified: flows through, nothing to preserve.
             if self.persist_results:
                 self.rs.put(RSEntry(seq, now + 1,
-                                    resolved_branch=dec.is_branch[seq]))
-            if dec.is_branch[seq]:
-                self._resolve_advance_branch(entry, now)
+                                    resolved_branch=trace.is_branch[seq]))
+            if trace.is_branch[seq]:
+                self._resolve_advance_branch(seq, now)
             self.adv_ptr = seq + 1
             return 1
 
-        if dec.is_branch[seq]:
-            self._resolve_advance_branch(entry, now)
+        if trace.is_branch[seq]:
+            self._resolve_advance_branch(seq, now)
             if self.persist_results:
                 self.rs.put(RSEntry(seq, now + 1, resolved_branch=True))
             self.adv_ptr = seq + 1
             return 1
 
-        if dec.is_store[seq]:
-            self.asc.write(entry.addr, entry.value)
+        if trace.is_store[seq]:
+            addr = trace.addr[seq]
+            self.asc.write(addr, trace.value[seq])
             self.stats.counters["advance_stores"] += 1
             if self.persist_results:
-                self.rs.put(RSEntry(seq, now + 1, addr=entry.addr,
+                self.rs.put(RSEntry(seq, now + 1, addr=addr,
                                     is_store=True))
             self.adv_ptr = seq + 1
             return 1
 
-        if dec.is_load[seq]:
-            self._execute_advance_load(entry, now)
+        if trace.is_load[seq]:
+            self._execute_advance_load(seq, now)
             self.adv_ptr = seq + 1
             return 1
 
         # ALU / FP / mul-div / nop.
-        latency = dec.latency[seq]
-        dests = dec.dests[seq]
+        latency = trace.latency[seq]
+        dests = trace.dests[seq]
         epoch = self._srf_epoch
         for dest in dests:
             self._srf_stamp[dest] = epoch
             self._srf_ready[dest] = now + latency
             self._poison_stamp[dest] = 0
             self._pready_stamp[dest] = 0
-        if self.persist_results and (dests or entry.inst.opcode is
+        if self.persist_results and (dests or trace.inst[seq].opcode is
                                      Opcode.NOP):
             self.rs.put(RSEntry(seq, now + latency))
         self.adv_ptr = seq + 1
         return 1
 
-    def _resolve_advance_branch(self, entry: TraceEntry, now: int) -> None:
+    def _resolve_advance_branch(self, seq: int, now: int) -> None:
         """A branch with valid operands resolves during preexecution.
 
         The predictor is trained early; if it would have mispredicted, the
@@ -568,8 +517,10 @@ class MultipassCore(BaseCore):
         architectural stream later merges the resolved branch with no
         flush — the source of multipass front-end-stall reduction.
         """
-        correct = self.predictor.update(self._dec.pc[entry.seq],
-                                        entry.taken and entry.executed)
+        trace = self.trace
+        correct = self.predictor.update(trace.pc[seq],
+                                        trace.taken[seq]
+                                        and trace.executed[seq])
         self.stats.counters["advance_branches"] += 1
         if not correct:
             self.adv_stall_until = max(
@@ -577,15 +528,17 @@ class MultipassCore(BaseCore):
                 now + self.config.mispredict_penalty)
             self.stats.counters["advance_redirects"] += 1
 
-    def _execute_advance_load(self, entry: TraceEntry, now: int) -> None:
+    def _execute_advance_load(self, seq: int, now: int) -> None:
         """Advance load: ASC forwarding, prefetch, WAW rule, S-bits."""
-        addr = entry.addr
+        trace = self.trace
+        addr = trace.addr[seq]
+        value = trace.value[seq]
+        dests = trace.dests[seq]
         outcome, _forwarded = self.asc.read(addr)
         result = self.hierarchy.access(addr, now)   # prefetch effect
         self.stats.counters["advance_loads"] += 1
         if result.l1_miss and self.tracer.enabled:
-            self.tracer.cache_miss(now, entry.seq, entry.inst.index,
-                                   result.level)
+            self.tracer.cache_miss(now, seq, trace.pc[seq], result.level)
 
         epoch = self._srf_epoch
         srf_stamp = self._srf_stamp
@@ -593,34 +546,33 @@ class MultipassCore(BaseCore):
         poison_stamp = self._poison_stamp
         pready_stamp = self._pready_stamp
         if outcome == HIT:
-            for dest in entry.dests:
+            for dest in dests:
                 srf_stamp[dest] = epoch
                 srf_ready[dest] = now + 1
                 poison_stamp[dest] = 0
                 pready_stamp[dest] = 0
             if self.persist_results:
-                self.rs.put(RSEntry(entry.seq, now + 1, value=entry.value,
-                                    addr=addr))
+                self.rs.put(RSEntry(seq, now + 1, value=value, addr=addr))
             self.stats.counters["asc_forwards"] += 1
             return
         if outcome == HIT_INVALID:
-            for dest in entry.dests:
+            for dest in dests:
                 poison_stamp[dest] = epoch
                 srf_stamp[dest] = 0
             return
 
         data_speculative = self.unknown_store or outcome == MISS_SPECULATIVE
         observed = (self.mem_vals.get(addr, 0) if data_speculative
-                    else entry.value)
+                    else value)
         l1_hit = not result.l1_miss
         if self.persist_results:
-            self.rs.put(RSEntry(entry.seq, result.ready,
+            self.rs.put(RSEntry(seq, result.ready,
                                 sbit=data_speculative, value=observed,
                                 addr=addr))
         if data_speculative:
             self.stats.counters["sbit_loads"] += 1
         if l1_hit:
-            for dest in entry.dests:
+            for dest in dests:
                 srf_stamp[dest] = epoch
                 srf_ready[dest] = result.ready
                 poison_stamp[dest] = 0
@@ -629,7 +581,7 @@ class MultipassCore(BaseCore):
             # Ablation of the Section 3.5 WAW rule: expose the fill time
             # through the SRF so in-flight consumers wait for the bypass.
             self.stats.counters["advance_load_misses"] += 1
-            for dest in entry.dests:
+            for dest in dests:
                 srf_stamp[dest] = epoch
                 srf_ready[dest] = result.ready
                 poison_stamp[dest] = 0
@@ -638,7 +590,7 @@ class MultipassCore(BaseCore):
             # Section 3.5: L1-missing advance loads do not write the SRF;
             # consumers defer to a later pass (the RS catches the fill).
             self.stats.counters["advance_load_misses"] += 1
-            for dest in entry.dests:
+            for dest in dests:
                 poison_stamp[dest] = epoch
                 pready_stamp[dest] = epoch
                 self._pready_val[dest] = result.ready
@@ -648,66 +600,63 @@ class MultipassCore(BaseCore):
     # architectural / rally issue
     # ------------------------------------------------------------------
 
-    def _merge_committed(self, entry: TraceEntry, rs_entry: RSEntry,
+    def _merge_committed(self, seq: int, rs_entry: RSEntry,
                          now: int) -> None:
         """Commit a preserved result without re-execution."""
+        trace = self.trace
         if self.check:
-            self._check_merge(entry, rs_entry, now)
-        self.rs.pop(entry.seq)
+            self._check_merge(seq, rs_entry, now)
+        self.rs.pop(seq)
         self.stats.counters["rally_merges"] += 1
         self.stats.instructions += 1
         if self.tracer.enabled:
-            self.tracer.rs_hit(now, entry.seq, entry.inst.index,
-                               mode="rally")
-        self.commit_entry(entry, now)
-        for dest in entry.dests:
+            self.tracer.rs_hit(now, seq, trace.pc[seq], mode="rally")
+        self.commit_entry(seq, now)
+        for dest in trace.dests[seq]:
             self.reg_ready[dest] = now
             self.load_miss_pending[dest] = 0
         if rs_entry.is_store:
             # Pre-executed stores re-perform their access in rally mode
             # using the SMAQ address (Section 3.6).
             self.hierarchy.access(rs_entry.addr, now, kind="store")
-            self.mem_vals[rs_entry.addr] = entry.value
+            self.mem_vals[rs_entry.addr] = trace.value[seq]
             self.stats.counters["smaq_reads"] += 1
-        if self._dec.is_branch[entry.seq]:
-            self.frontend.resolve_branch(entry, now, already_resolved=True)
+        if trace.is_branch[seq]:
+            self.frontend.resolve_branch(seq, now, already_resolved=True)
 
-    def _verify_speculative_load(self, entry: TraceEntry,
-                                 rs_entry: RSEntry, now: int) -> bool:
+    def _verify_speculative_load(self, seq: int, rs_entry: RSEntry,
+                                 now: int) -> bool:
         """Re-perform a data-speculative load; flush on value mismatch."""
         if self.check:
             self._invariant(
                 rs_entry.sbit,
                 "speculative-load verification of a non-S-bit RS entry",
-                entry)
+                seq)
             self._invariant(
-                rs_entry.seq == entry.seq,
+                rs_entry.seq == seq,
                 f"RS entry seq {rs_entry.seq} served for committing seq "
-                f"{entry.seq}", entry)
-        self.rs.pop(entry.seq)
+                f"{seq}", seq)
+        self.rs.pop(seq)
         self.stats.counters["sbit_verifications"] += 1
         self.stats.counters["smaq_reads"] += 1
         result = self.hierarchy.access(rs_entry.addr, now)
         if result.l1_miss and self.tracer.enabled:
-            self.tracer.cache_miss(now, entry.seq, entry.inst.index,
+            self.tracer.cache_miss(now, seq, self.trace.pc[seq],
                                    result.level)
-        if rs_entry.value == entry.value:
-            self.stats.instructions += 1
-            self.commit_entry(entry, now)
-            self.writeback(entry, now, result.latency, result.l1_miss)
+        self.stats.instructions += 1
+        self.commit_entry(seq, now)
+        self.writeback(seq, now, result.latency, result.l1_miss)
+        if rs_entry.value == self.trace.value[seq]:
             return False
         # Mismatch: squash everything younger and re-execute it.
         self.stats.counters["value_flushes"] += 1
-        self.stats.instructions += 1
-        self.commit_entry(entry, now)
-        self.writeback(entry, now, result.latency, result.l1_miss)
-        self.rs.clear_from(entry.seq + 1)
-        self.max_peek = min(self.max_peek, entry.seq + 1)
+        self.rs.clear_from(seq + 1)
+        self.max_peek = min(self.max_peek, seq + 1)
         self.arch_stall_until = now + self.config.flush_penalty
         if self.check:
             self._invariant(
-                self.rs.max_seq() <= entry.seq,
-                "RS retains entries younger than a value flush", entry)
+                self.rs.max_seq() <= seq,
+                "RS retains entries younger than a value flush", seq)
         return True
 
     # ------------------------------------------------------------------
@@ -719,38 +668,31 @@ class MultipassCore(BaseCore):
         # cycles: tracing emits a per-cycle mode event and record_modes
         # logs one, so both (and --slow) route to the scalar reference
         # loop below (stats are bit-identical either way — the
-        # differential suite pins it).  An instance-level override of
-        # the advance-issue hook (how tests instrument the per-cycle
-        # advance stream) is likewise a per-cycle observer.
-        if (self.slow or self.tracer.enabled or self.record_modes
-                or "_issue_advance_cycle" in self.__dict__):
+        # differential suite pins it).
+        if self.slow or self.tracer.enabled or self.record_modes:
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 
     def _run_scalar(self, max_cycles: int = 500_000_000) -> SimStats:
-        entries = self.trace.entries
-        n = len(entries)
+        """The cycle-by-cycle specification of the multipass pipeline."""
+        trace = self.trace
+        n = len(trace)
         frontend = self.frontend
         stats = self.stats
         counters = stats.counters
         tel = self.tracer if self.tracer.enabled else None
         record = self.record_modes
-        # The fast path requires that nothing observes individual cycles:
-        # tracing emits a per-cycle mode event and record_modes logs one,
-        # so both force the reference loop (stats are identical either
-        # way — the differential suite pins it).
-        fast = not self.slow and tel is None and not record
         check = self.check
-        dec = self.trace.decoded
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_lat = dec.latency
-        d_mem = dec.mem_exec
-        d_load = dec.is_load
-        d_addr = dec.addr
-        d_value = dec.value
-        d_branch = dec.is_branch
-        d_stop = dec.stop
+        d_srcs = trace.srcs
+        d_dests = trace.dests
+        d_lat = trace.latency
+        d_mem = trace.mem_exec
+        d_load = trace.is_load
+        d_addr = trace.addr
+        d_value = trace.value
+        d_branch = trace.is_branch
+        d_stop = trace.stop
+        d_pc = trace.pc
         reg_ready = self.reg_ready
         pending = self.load_miss_pending
         access = self.hierarchy.access
@@ -765,7 +707,7 @@ class MultipassCore(BaseCore):
         i_ports = ports.i_ports
         f_ports = ports.f_ports
         b_ports = ports.b_ports
-        port_code = self._port_code
+        port_code = trace.port_code
         ADVANCE = Mode.ADVANCE
         ARCH = Mode.ARCHITECTURAL
         RALLY = Mode.RALLY
@@ -797,7 +739,7 @@ class MultipassCore(BaseCore):
                 tel.mode(now, self.mode.value)
 
             if self.mode is ADVANCE:
-                new_execs, wake, peeks = self._issue_advance_cycle(now)
+                new_execs = self._issue_advance_cycle(now)
                 if check:
                     self._invariant(
                         self.adv_ptr >= self.arch_ptr,
@@ -816,27 +758,10 @@ class MultipassCore(BaseCore):
                     if tel is not None:
                         # Attributed to the load that triggered advance
                         # mode — the same charging rule as the stats.
-                        trig = entries[self.trigger_seq]
-                        tel.charge(now, LOAD,
-                                   seq=trig.seq, pc=trig.inst.index)
+                        trig = self.trigger_seq
+                        tel.charge(now, LOAD, seq=trig, pc=d_pc[trig])
                 counters["advance_cycles"] += 1
                 now += 1
-                if fast and wake is not None and not new_execs:
-                    # Nothing can change before min(wake, trigger_ready):
-                    # jump there, replicating the per-cycle attribution
-                    # (zero-execution advance cycles charge LOAD) and
-                    # the per-cycle poll counters.
-                    target = wake if wake < self.trigger_ready \
-                        else self.trigger_ready
-                    skip_to = self.next_event_cycle(now, target,
-                                                    self.arch_ptr)
-                    if skip_to > now:
-                        k = skip_to - now
-                        c_load += k
-                        counters["advance_cycles"] += k
-                        if peeks:
-                            counters["iq_peeks"] += peeks * k
-                        now = skip_to
                 continue
 
             if now < self.arch_stall_until:
@@ -844,36 +769,21 @@ class MultipassCore(BaseCore):
                 if tel is not None:
                     tel.charge(now, OTHER)
                 now += 1
-                if fast:
-                    skip_to = self.next_event_cycle(
-                        now, self.arch_stall_until, self.arch_ptr)
-                    if skip_to > now:
-                        c_other += skip_to - now
-                        now = skip_to
                 continue
 
             # ---- architectural / rally issue (inlined hot loop) ------
-            # ``wake`` is the fast-forward hint for zero-issue cycles
-            # (None: state changed, not skippable; _INF: a pure front-end
-            # stall; a cycle: a pure operand/WAW stall repeating
-            # identically until then); ``dq``/``waw_poll`` are the
-            # per-cycle iq_dequeues/waw_stalls poll counts to replicate
-            # over skipped cycles.
             fetched_until = frontend.fetched_until
             m_used = i_used = f_used = b_used = 0
             issued = 0
             reason = None
             wait_until = now + 1
-            trigger = None
-            wake = _INF
-            dq = waw_poll = 0
+            trigger = -1
             aptr = self.arch_ptr
             rallying = aptr < self.max_peek
             dynamic_groups = enable_regroup and rallying
 
             while aptr < fetched_until and issued < width:
                 seq = aptr
-                wake = None
                 counters["iq_dequeues"] += 1
 
                 rs_entry = rs_peek(seq) if rs_peek is not None else None
@@ -886,11 +796,11 @@ class MultipassCore(BaseCore):
                         # continues beyond it.
                         reason = LOAD
                         wait_until = rs_entry.ready
-                        trigger = entries[seq]
+                        trigger = seq
                         break
                     if not rs_entry.sbit:
                         self.arch_ptr = aptr
-                        self._merge_committed(entries[seq], rs_entry, now)
+                        self._merge_committed(seq, rs_entry, now)
                         issued += 1
                         aptr = seq + 1
                         if not dynamic_groups and d_stop[seq]:
@@ -901,8 +811,8 @@ class MultipassCore(BaseCore):
                         break
                     m_used += 1
                     self.arch_ptr = aptr
-                    flushed = self._verify_speculative_load(entries[seq],
-                                                            rs_entry, now)
+                    flushed = self._verify_speculative_load(seq, rs_entry,
+                                                            now)
                     issued += 1
                     aptr = seq + 1
                     if flushed:
@@ -944,14 +854,7 @@ class MultipassCore(BaseCore):
                     wait_until = stall
                     if load_wait:
                         reason = LOAD
-                        trigger = entries[seq]
-                    elif issued == 0:
-                        # Pure operand poll: the break repeats
-                        # identically every cycle until the producers
-                        # complete.
-                        reason = OTHER
-                        wake = wait_until
-                        dq = 1
+                        trigger = seq
                     else:
                         reason = OTHER
                     break
@@ -968,8 +871,7 @@ class MultipassCore(BaseCore):
                         if l1_miss:
                             counters["l1d_load_misses"] += 1
                             if tel is not None:
-                                tel.cache_miss(now, seq,
-                                               entries[seq].inst.index,
+                                tel.cache_miss(now, seq, d_pc[seq],
                                                result.level)
                     else:
                         addr = d_addr[seq]
@@ -979,31 +881,18 @@ class MultipassCore(BaseCore):
                 done = now + latency
                 stall = 0
                 load_horizon = 0
-                waw_count = 0
                 for d in d_dests[seq]:
                     r = reg_ready[d]
                     if r > done:
-                        waw_count += 1
                         if r > stall:
                             stall = r
                         p = pending[d]
                         if p > now and p > load_horizon:
                             load_horizon = p
-                if waw_count:
+                if stall:
                     wait_until = stall
                     reason = LOAD if load_horizon else OTHER
                     counters["waw_stalls"] += 1
-                    if issued == 0 and not mem and waw_count == 1:
-                        # Pure WAW poll (no cache access to repeat,
-                        # single conflicting register so the category is
-                        # stable).  The stall ends as soon as the
-                        # in-flight writer's completion no longer
-                        # exceeds now + latency.
-                        wake = wait_until - latency
-                        if load_horizon and load_horizon < wake:
-                            wake = load_horizon
-                        dq = 1
-                        waw_poll = 1
                     break
 
                 if code == 0:
@@ -1022,14 +911,14 @@ class MultipassCore(BaseCore):
                     pending[d] = done if l1_miss else 0
                 stats.instructions += 1
                 if tel is not None:
-                    tel.issue(now, seq, entries[seq].inst.index)
-                    self.commit_entry(entries[seq], now)
+                    tel.issue(now, seq, d_pc[seq])
+                    self.commit_entry(seq, now)
                 elif replay is not None:
-                    replay.commit(entries[seq])
+                    self.commit_entry(seq)
                 issued += 1
                 aptr = seq + 1
                 if d_branch[seq]:
-                    if frontend.resolve_branch(entries[seq], now):
+                    if frontend.resolve_branch(seq, now):
                         counters["mispredicts"] += 1
                         rs.clear_from(seq + 1)
                         if seq + 1 < self.max_peek:
@@ -1038,65 +927,41 @@ class MultipassCore(BaseCore):
                             self._invariant(
                                 rs.max_seq() <= seq,
                                 "RS retains entries younger than a "
-                                "mispredict flush", entries[seq])
+                                "mispredict flush", seq)
                         break
                 if d_stop[seq] and not dynamic_groups:
                     break
             self.arch_ptr = aptr
             # ---- end inlined issue loop ------------------------------
 
-            in_rally = self.mode is RALLY
-            if in_rally:
+            if self.mode is RALLY:
                 counters["rally_cycles"] += 1
                 if aptr >= self.max_peek and rs.max_seq() < aptr:
                     self.mode = ARCH
-                    in_rally = False
 
-            front_end_stall = aptr >= frontend.fetched_until
             if issued:
                 c_exec += 1
                 if tel is not None:
                     tel.charge(now, EXECUTION)
-            elif front_end_stall:
+            elif aptr >= frontend.fetched_until:
                 c_fe += 1
                 if tel is not None:
-                    blocked = entries[aptr] if aptr < n else None
+                    has_blocked = aptr < n
                     tel.charge(now, FRONT_END,
-                               seq=blocked.seq if blocked else -1,
-                               pc=blocked.inst.index if blocked else -1)
+                               seq=aptr if has_blocked else -1,
+                               pc=d_pc[aptr] if has_blocked else -1)
             else:
                 if reason is LOAD:
                     c_load += 1
                 else:
                     c_other += 1
                 if tel is not None:
-                    blocked = entries[aptr]
-                    tel.charge(now, reason or OTHER,
-                               seq=blocked.seq, pc=blocked.inst.index)
+                    tel.charge(now, reason or OTHER, seq=aptr,
+                               pc=d_pc[aptr])
             now += 1
 
-            if trigger is not None and wait_until > now:
+            if trigger >= 0 and wait_until > now:
                 self._enter_advance(trigger, wait_until, now)
-            elif fast and not issued and wake is not None:
-                # A pure stall cycle: every cycle until the wake target
-                # repeats the same poll with the same attribution, so
-                # jump the clock and replicate the poll counters.
-                skip_to = self.next_event_cycle(now, wake, aptr)
-                if now < skip_to < _INF:
-                    k = skip_to - now
-                    if front_end_stall:
-                        c_fe += k
-                    elif reason is LOAD:
-                        c_load += k
-                    else:
-                        c_other += k
-                    if in_rally:
-                        counters["rally_cycles"] += k
-                    if dq:
-                        counters["iq_dequeues"] += k
-                    if waw_poll:
-                        counters["waw_stalls"] += k
-                    now = skip_to
 
         breakdown = stats.cycle_breakdown
         breakdown[EXECUTION] += c_exec

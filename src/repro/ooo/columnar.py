@@ -104,7 +104,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
 
-from ..isa.columns import columns_of
+from ..isa.columns import dependences, event_pairs, fetch_runs, issue_kind
 from ..isa.registers import NUM_REGS
 from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
@@ -120,32 +120,29 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     mode (the caller routes those to the scalar reference loop).
     """
     trace = core.trace
-    entries = trace.entries
-    dec = trace.decoded
-    n = dec.n
-    cols = columns_of(dec)
+    n = len(trace)
     merge_dests = not core.ideal
-    graph = cols.dependences(merge_dests)
+    graph = dependences(trace, merge_dests)
     cons_lists = graph.cons_tuples()
     sprods = graph.prod_tuples()
-    port_code = cols.port_code
-    queue_code = cols.queue_code
+    port_code = trace.port_code
+    queue_code = trace.queue_code
     # Packed issue-path flags (bit0 mem, bit1 branch, bit2 consumers)
     # and prebuilt gen-0 wheel pairs; the pair list is copied because a
     # squash re-points the squashed seqs' entries at their new gen.
-    kind = cols.issue_kind(merge_dests)
-    ev_pair = list(cols.event_pairs())
+    kind = issue_kind(trace, merge_dests)
+    ev_pair = list(event_pairs(trace))
 
-    d_srcs = dec.srcs
-    d_dests = dec.dests
-    d_sdests = dec.static_dests
-    d_pred = dec.is_predicated
-    d_lat = dec.latency
-    d_mem = dec.mem_exec
-    d_load = dec.is_load
-    d_addr = dec.addr
-    d_branch = dec.is_branch
-    d_taken = dec.taken
+    d_srcs = trace.srcs
+    d_dests = trace.dests
+    d_sdests = trace.static_dests
+    d_pred = trace.is_predicated
+    d_lat = trace.latency
+    d_mem = trace.mem_exec
+    d_load = trace.is_load
+    d_addr = trace.addr
+    d_branch = trace.is_branch
+    d_taken = trace.taken
 
     config = core.config
     frontend = core.frontend
@@ -202,7 +199,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Same-line fetch runs: ``f_run[i]`` is the first seq past ``i`` on
     # a different cache line, so a fetch group whose line is already
     # hot advances to the run end in one step instead of per-seq.
-    f_run = cols.fetch_runs(inst_bytes, frontend._line_size)
+    f_run = fetch_runs(trace, inst_bytes, frontend._line_size)
     # Front-end scalars, localized for the whole run.  The redirect is
     # inlined below and ``frontend.tick`` is never called, so nothing
     # outside this loop reads or writes them until the write-back at
@@ -236,7 +233,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     bp_hist_mask = (1 << predictor._history_bits) - 1
     bp_history = predictor._history
     n_branches = n_bp_wrong = 0
-    d_pc = dec.pc
+    d_pc = trace.pc
     mispredict_penalty = config.mispredict_penalty
     #: 2-bit counter transition tables (branchless saturating update).
     BP_INC = (1, 2, 3, 3)
@@ -777,7 +774,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if unissued[s] or ready_cycle[s] > now:
                     break
                 commit_ptr = s + 1
-                replay.commit(entries[s])
+                core.commit_entry(s)
                 committed += 1
         n_commits += committed
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..isa.columns import columns_of
 from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
-from ..isa.trace import Trace, TraceEntry
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline.base import BaseCore
 from ..pipeline.stats import SimStats, StallCategory
@@ -41,12 +40,11 @@ _INF = 1 << 62
 class _RobEntry:
     """One in-flight instruction."""
 
-    __slots__ = ("entry", "seq", "producers", "issued", "ready",
-                 "is_load_wait", "blocked_on")
+    __slots__ = ("seq", "producers", "issued", "ready", "is_load_wait",
+                 "blocked_on")
 
-    def __init__(self, entry: TraceEntry, producers):
-        self.entry = entry
-        self.seq = entry.seq
+    def __init__(self, seq: int, producers):
+        self.seq = seq
         self.producers = producers   # seqs of in-flight producers
         self.issued = False
         self.ready = -1              # result-available cycle once issued
@@ -114,20 +112,18 @@ class OutOfOrderCore(BaseCore):
 
     def _run_scalar(self, max_cycles: int = 500_000_000) -> SimStats:
         trace = self.trace
-        entries = trace.entries
-        dec = trace.decoded
-        n = dec.n
-        d_ifu = dec.issue_fu
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_sdests = dec.static_dests
-        d_pred = dec.is_predicated
-        d_lat = dec.latency
-        d_mem = dec.mem_exec
-        d_load = dec.is_load
-        d_addr = dec.addr
-        d_branch = dec.is_branch
-        d_pc = dec.pc
+        n = len(trace)
+        d_ifu = trace.issue_fu
+        d_srcs = trace.srcs
+        d_dests = trace.dests
+        d_sdests = trace.static_dests
+        d_pred = trace.is_predicated
+        d_lat = trace.latency
+        d_mem = trace.mem_exec
+        d_load = trace.is_load
+        d_addr = trace.addr
+        d_branch = trace.is_branch
+        d_pc = trace.pc
         config = self.config
         frontend = self.frontend
         window = config.ooo_window
@@ -146,7 +142,7 @@ class OutOfOrderCore(BaseCore):
         i_ports = ports.i_ports
         f_ports = ports.f_ports
         b_ports = ports.b_ports
-        port_code = columns_of(dec).port_code  # shared column
+        port_code = trace.port_code
         EXECUTION = StallCategory.EXECUTION
         FRONT_END = StallCategory.FRONT_END
         LOAD = StallCategory.LOAD
@@ -230,7 +226,7 @@ class OutOfOrderCore(BaseCore):
                 for dest in dest_iter:
                     last_writer[dest] = seq
                     writer_is_load[dest] = is_load
-                rob_entry = _RobEntry(entries[seq], producers)
+                rob_entry = _RobEntry(seq, producers)
                 rob.append(rob_entry)
                 waiting.append(rob_entry)
                 dispatch_ptr += 1
@@ -314,7 +310,7 @@ class OutOfOrderCore(BaseCore):
                         queue_fill[queue_of[d_ifu[seq]]] -= 1
                     issued += 1
                     if d_branch[seq]:
-                        if frontend.resolve_branch(rob_entry.entry, now):
+                        if frontend.resolve_branch(seq, now):
                             counters["mispredicts"] += 1
                             squash_after = seq
                             break
@@ -366,9 +362,9 @@ class OutOfOrderCore(BaseCore):
                 commit_ptr = head.seq + 1
                 stats.instructions += 1
                 if tel is not None:
-                    self.commit_entry(head.entry, now)
+                    self.commit_entry(head.seq, now)
                 elif replay is not None:
-                    replay.commit(head.entry)
+                    self.commit_entry(head.seq)
                 committed += 1
 
             # ---- attribution -------------------------------------------

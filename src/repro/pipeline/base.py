@@ -7,8 +7,6 @@ memory hierarchy, branch predictor and front end, and produces a
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..branch.gshare import GsharePredictor
 from ..isa.opcodes import FUClass
 from ..isa.registers import NUM_REGS
@@ -16,7 +14,7 @@ from ..isa.trace import Trace, TraceEntry
 from ..machine import MachineConfig
 from ..telemetry.events import NULL_TRACER
 from .frontend import FrontEnd
-from .stats import SimStats, StallCategory
+from .stats import SimStats
 
 
 class SimulationDiverged(Exception):
@@ -66,47 +64,19 @@ class BaseCore:
             from ..analysis.invariants import ArchReplay
             self.replay = ArchReplay(trace, model=self.model_name)
 
-    # -- operand checking ----------------------------------------------------
-
-    def unready_sources(self, entry: TraceEntry, now: int):
-        """Source registers of ``entry`` that are not ready at ``now``."""
-        ready = self.reg_ready
-        return [s for s in entry.srcs if ready[s] > now]
-
-    def classify_wait(self, unready, now: int
-                      ) -> Tuple[StallCategory, int]:
-        """Stall category + cycle when all ``unready`` regs become ready."""
-        ready = self.reg_ready
-        wait_until = max(ready[s] for s in unready)
-        pending = self.load_miss_pending
-        is_load_wait = any(pending[s] > now for s in unready)
-        category = StallCategory.LOAD if is_load_wait else StallCategory.OTHER
-        return category, wait_until
-
     # -- execution helpers -----------------------------------------------------
 
     def issue_fu(self, entry: TraceEntry) -> FUClass:
         """Functional-unit class the entry occupies (nullified -> none)."""
         return entry.inst.spec.fu if entry.executed else FUClass.NONE
 
-    def execute_memory(self, entry: TraceEntry, now: int) -> int:
-        """Perform the cache access of a load/store; returns load latency."""
-        kind = "store" if entry.is_store else "load"
-        result = self.hierarchy.access(entry.addr, now, kind=kind)
-        if entry.is_load:
-            self.stats.counters["loads_issued"] += 1
-            if result.l1_miss:
-                self.stats.counters["l1d_load_misses"] += 1
-            return result.latency
-        return 0
-
-    def writeback(self, entry: TraceEntry, now: int, latency: int,
+    def writeback(self, seq: int, now: int, latency: int,
                   l1_miss: bool) -> None:
-        """Update the scoreboard for the entry's destinations."""
+        """Update the scoreboard for seq's destinations."""
         ready = now + latency
         reg_ready = self.reg_ready
         pending = self.load_miss_pending
-        for dest in entry.dests:
+        for dest in self.trace.dests[seq]:
             reg_ready[dest] = ready
             pending[dest] = ready if l1_miss else 0
 
@@ -159,8 +129,9 @@ class BaseCore:
 
     # -- retirement ----------------------------------------------------------
 
-    def commit_entry(self, entry: TraceEntry, now: int = -1) -> None:
-        """Hook called by every core at the moment an entry retires.
+    def commit_entry(self, seq: int, now: int = -1) -> None:
+        """Hook called by every core at the moment trace index ``seq``
+        retires.
 
         Under ``check=True`` the entry is validated against independent
         functional re-execution (exactly-once, in-order, on the
@@ -168,9 +139,9 @@ class BaseCore:
         emitted; otherwise this is a no-op.
         """
         if self.tracer.enabled:
-            self.tracer.commit(now, entry.seq, entry.inst.index)
+            self.tracer.commit(now, seq, self.trace.pc[seq])
         if self.replay is not None:
-            self.replay.commit(entry)
+            self.replay.commit(self.trace.entries[seq])
 
     # -- wrap-up -------------------------------------------------------------
 

@@ -10,8 +10,8 @@ standard trace-driven misprediction model.
 from __future__ import annotations
 
 from ..branch.gshare import GsharePredictor
-from ..isa.columns import columns_of
-from ..isa.trace import Trace, TraceEntry
+from ..isa.columns import fetch_lines
+from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..memory.hierarchy import MemoryHierarchy
 from ..telemetry.events import NULL_TRACER
@@ -37,10 +37,8 @@ class FrontEnd:
         self._fetch_width = config.fetch_width
         self._inst_bytes = config.instruction_bytes
         self._l1i_latency = hierarchy.config.l1i.latency
-        dec = trace.decoded
-        self._pcs = dec.pc
-        self._lines = columns_of(dec).fetch_lines(
-            self._inst_bytes, self._line_size)
+        self._pcs = trace.pc
+        self._lines = fetch_lines(trace, self._inst_bytes, self._line_size)
         self.icache_stall_cycles = 0
         self.redirects = 0
         if config.prewarm_icache:
@@ -108,12 +106,12 @@ class FrontEnd:
         self._last_line = last
         self.fetched_until = fu
 
-    def resolve_branch(self, entry: TraceEntry, now: int,
+    def resolve_branch(self, seq: int, now: int,
                        already_resolved: bool = False) -> bool:
         """Resolve a branch at execute; returns True on a mispredict.
 
         Args:
-            entry: the branch trace entry.
+            seq: the branch's trace index.
             now: current cycle (redirect penalty charged from here).
             already_resolved: the branch was validly pre-executed earlier
                 (multipass advance mode) so the front end has already been
@@ -125,9 +123,10 @@ class FrontEnd:
         """
         if already_resolved:
             return False
-        correct = self.predictor.update(entry.inst.index, entry.taken)
+        trace = self.trace
+        correct = self.predictor.update(trace.pc[seq], trace.taken[seq])
         if not correct:
-            self.redirect(entry.seq + 1, now)
+            self.redirect(seq + 1, now)
         return not correct
 
     def redirect(self, resume_index: int, now: int) -> None:

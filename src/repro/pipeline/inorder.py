@@ -5,16 +5,14 @@ cycle, stall-on-use when an operand is not ready, scoreboarded WAW stalls
 for variable-latency writers (Section 3.5), non-blocking stores, and a
 gshare-driven front end.  Long stalls are fast-forwarded when neither the
 front end nor the memory system has intervening work, which does not change
-cycle counts — only wall-clock simulation time.  The inner loop reads the
-decoded-trace cache (:mod:`repro.isa.decoded`) instead of per-entry
-properties.
+cycle counts — only wall-clock simulation time.  The inner loop indexes
+the trace's per-seq columns.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..isa.columns import columns_of
 from ..isa.trace import Trace
 from ..machine import MachineConfig
 from .base import BaseCore
@@ -34,9 +32,7 @@ class InOrderCore(BaseCore):
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
         trace = self.trace
-        entries = trace.entries
-        dec = trace.decoded
-        n = dec.n
+        n = len(trace)
         frontend = self.frontend
         ports = self.config.ports
         width = ports.width
@@ -44,21 +40,21 @@ class InOrderCore(BaseCore):
         i_ports = ports.i_ports
         f_ports = ports.f_ports
         b_ports = ports.b_ports
-        port_code = columns_of(dec).port_code  # shared per-trace column
+        port_code = trace.port_code
         reg_ready = self.reg_ready
         pending = self.load_miss_pending
         stats = self.stats
         counters = stats.counters
         access = self.hierarchy.access
-        d_srcs = dec.srcs
-        d_dests = dec.dests
-        d_lat = dec.latency
-        d_mem = dec.mem_exec
-        d_load = dec.is_load
-        d_addr = dec.addr
-        d_branch = dec.is_branch
-        d_stop = dec.stop
-        d_pc = dec.pc
+        d_srcs = trace.srcs
+        d_dests = trace.dests
+        d_lat = trace.latency
+        d_mem = trace.mem_exec
+        d_load = trace.is_load
+        d_addr = trace.addr
+        d_branch = trace.is_branch
+        d_stop = trace.stop
+        d_pc = trace.pc
         tel = self.tracer if self.tracer.enabled else None
         replay = self.replay
         EXECUTION = StallCategory.EXECUTION
@@ -175,13 +171,13 @@ class InOrderCore(BaseCore):
                 stats.instructions += 1
                 if tel is not None:
                     tel.issue(now, i, d_pc[i])
-                    self.commit_entry(entries[i], now)
+                    self.commit_entry(i, now)
                 elif replay is not None:
-                    replay.commit(entries[i])
+                    self.commit_entry(i)
                 issued += 1
                 ptr = i + 1
                 if d_branch[i]:
-                    if frontend.resolve_branch(entries[i], now):
+                    if frontend.resolve_branch(i, now):
                         counters["mispredicts"] += 1
                         break
                 if d_stop[i]:

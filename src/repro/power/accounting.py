@@ -35,8 +35,8 @@ class PowerBreakdown:
 
 def _operand_counts(trace: Trace):
     """Total architectural source reads and destination writes."""
-    reads = sum(len(e.srcs) for e in trace.entries)
-    writes = sum(len(e.dests) for e in trace.entries)
+    reads = sum(map(len, trace.srcs))
+    writes = sum(map(len, trace.dests))
     return reads, writes
 
 

@@ -78,16 +78,3 @@ class PortTracker:
         elif fu is FUClass.BR:
             self.b_used += 1
 
-
-#: Small-int port class per FUClass for cores that inline the tracker
-#: into their hot loops: 0 = MEM, 1 = ALU (I port with M fallback),
-#: 2 = FP/MULDIV, 3 = BR, 4 = slot-only (``FUClass.NONE``).  Mirrors
-#: :meth:`PortTracker.can_issue` / :meth:`PortTracker.issue` dispatch.
-PORT_CODE = {
-    FUClass.MEM: 0,
-    FUClass.ALU: 1,
-    FUClass.FP: 2,
-    FUClass.MULDIV: 2,
-    FUClass.BR: 3,
-    FUClass.NONE: 4,
-}

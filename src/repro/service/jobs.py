@@ -175,7 +175,7 @@ class SweepService:
         })
         # Group the job's cells by workload: one fleet task per group,
         # so every model of a workload runs on the same worker and
-        # shares one trace build + decode (mirroring the batch engine's
+        # shares one trace build (mirroring the batch engine's
         # grouped dispatch).
         groups: Dict[str, List[CellSpec]] = {}
         for cell in cells:
@@ -230,7 +230,7 @@ class SweepService:
         Returns one ``(CellResult, source, dedup)`` per cell, in cell
         order.  The cells that actually need simulation are dispatched
         to the fleet as a single batch, so one worker resolves the whole
-        group over a shared trace build + decode.  Never raises: faults
+        group over a shared trace build.  Never raises: faults
         become failure rows, exactly like the batch engine.
         """
         loop = asyncio.get_running_loop()

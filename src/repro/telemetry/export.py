@@ -152,7 +152,6 @@ def render_pipeview(events: Sequence[Event], trace: Trace,
     base = min((min(r.marks) for r in rows.values() if r.marks),
                default=0)
     width = min(last_cycle + 1 - base, max_cycles)
-    entries = trace.entries
     instructions = trace.program.instructions
     lines = [
         f"pipeview: {trace.program.name} — {len(rows)} instruction(s), "
@@ -176,7 +175,7 @@ def render_pipeview(events: Sequence[Event], trace: Trace,
             clipped_rows += 1
             continue
         entry_row = rows[seq]
-        if seq < len(entries):
+        if seq < len(trace):
             asm = instructions[entry_row.pc].render()
         else:  # pragma: no cover - defensive
             asm = "?"

@@ -88,15 +88,15 @@ def test_corrupt_cache_entry_degrades_to_miss(tmp_path):
 
 def test_serial_sweep_decodes_once_per_workload_cell(monkeypatch):
     """jobs=1 path: every model of a (workload, scale) cell reuses one
-    decoded trace — the decode-build log records exactly one build per
-    cell, not one per model."""
+    trace — the trace-build log records exactly one functional execution
+    (and column expansion) per cell, not one per model."""
     from repro.harness import parallel
 
     monkeypatch.setattr(parallel, "_WORKER_TRACES", {})
-    monkeypatch.setattr(parallel, "_DECODE_BUILDS", {})
+    monkeypatch.setattr(parallel, "_TRACE_BUILDS", {})
     report = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=1)
     assert report.ok
-    assert parallel._DECODE_BUILDS == {
+    assert parallel._TRACE_BUILDS == {
         (workload, SCALE): 1 for workload in WORKLOADS
     }
 
@@ -104,7 +104,7 @@ def test_serial_sweep_decodes_once_per_workload_cell(monkeypatch):
 def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     """Pool path: grouped dispatch lands every model of a workload on
     the same worker, so across the whole fleet each (workload, scale)
-    is decoded exactly once."""
+    trace is built exactly once."""
     import multiprocessing
     import os
 
@@ -113,16 +113,17 @@ def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     from repro.harness import parallel
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("decode log instrumentation needs fork inheritance")
+        pytest.skip("trace-build log instrumentation needs fork "
+                    "inheritance")
 
-    log = tmp_path / "decodes.log"
+    log = tmp_path / "builds.log"
     original = parallel._worker_trace
 
     def logged(spec):
         cell = (spec.workload, spec.scale)
-        before = parallel._DECODE_BUILDS.get(cell, 0)
+        before = parallel._TRACE_BUILDS.get(cell, 0)
         trace = original(spec)
-        built = parallel._DECODE_BUILDS.get(cell, 0) - before
+        built = parallel._TRACE_BUILDS.get(cell, 0) - before
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {spec.workload} {built}\n")
         return trace
@@ -130,7 +131,7 @@ def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     # Fork inherits the patched module state and the cleared caches, so
     # worker-side builds start from a clean slate and hit the wrapper.
     monkeypatch.setattr(parallel, "_WORKER_TRACES", {})
-    monkeypatch.setattr(parallel, "_DECODE_BUILDS", {})
+    monkeypatch.setattr(parallel, "_TRACE_BUILDS", {})
     monkeypatch.setattr(parallel, "_worker_trace", logged)
 
     report = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=2)

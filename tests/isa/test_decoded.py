@@ -1,17 +1,17 @@
-"""Pin the decoded-trace cache to the per-entry properties.
+"""Pin the trace's flat columns to the per-entry properties.
 
-``DecodedTrace`` is pure derived data: every flat list must agree with
-the corresponding ``TraceEntry`` property (including nullification
-semantics — ``is_load``/``is_store`` gated on ``executed``,
-``is_branch`` not) for every entry.  A real workload trace exercises
-predication, nullified slots, restarts, loads, stores and branches.
+The decoded per-seq fields live directly on :class:`~repro.isa.trace.Trace`
+as columns.  Every column must agree with the corresponding ``TraceEntry``
+property (including nullification semantics — ``is_load``/``is_store``
+gated on ``executed``, ``is_branch`` not) for every entry.  A real
+workload trace exercises predication, nullified slots, restarts, loads,
+stores and branches.
 """
 
 import pytest
 
 from repro.harness.experiment import TraceCache
 from repro.isa.opcodes import FUClass
-from repro.isa.trace import Trace
 from repro.machine import MachineConfig
 from repro.pipeline.base import BaseCore
 
@@ -22,50 +22,36 @@ def trace():
 
 
 def test_fields_match_entry_properties(trace):
-    dec = trace.decoded
-    assert dec.n == len(trace.entries)
+    assert len(trace) == len(trace.entries)
     for i, entry in enumerate(trace.entries):
         inst = entry.inst
         spec = inst.spec
-        assert dec.fu[i] is spec.fu
-        assert dec.srcs[i] == entry.srcs
-        assert dec.dests[i] == entry.dests
-        assert dec.static_dests[i] == inst.dests
-        assert dec.latency[i] == spec.latency
-        assert dec.pc[i] == inst.index
-        assert dec.stop[i] == inst.stop
-        assert dec.executed[i] == entry.executed
-        assert dec.is_load[i] == entry.is_load
-        assert dec.is_store[i] == entry.is_store
-        assert dec.is_branch[i] == spec.is_branch
-        assert dec.is_restart[i] == entry.is_restart
-        assert dec.mem_exec[i] == (entry.executed
-                                   and (entry.is_load or entry.is_store))
-        assert dec.addr[i] == entry.addr
-        assert dec.value[i] == entry.value
-        assert dec.taken[i] == entry.taken
+        assert trace.fu[i] is spec.fu
+        assert trace.srcs[i] == entry.srcs
+        assert trace.dests[i] == entry.dests
+        assert trace.static_dests[i] == inst.dests
+        assert trace.latency[i] == spec.latency
+        assert trace.pc[i] == inst.index
+        assert trace.stop[i] == inst.stop
+        assert trace.executed[i] == entry.executed
+        assert trace.is_load[i] == entry.is_load
+        assert trace.is_store[i] == entry.is_store
+        assert trace.is_branch[i] == spec.is_branch
+        assert trace.is_restart[i] == entry.is_restart
+        assert trace.mem_exec[i] == (entry.executed
+                                     and (entry.is_load or entry.is_store))
+        assert trace.addr[i] == entry.addr
+        assert trace.value[i] == entry.value
+        assert trace.taken[i] == entry.taken
 
 
 def test_issue_fu_matches_basecore_rule(trace):
     """issue_fu mirrors BaseCore.issue_fu: NONE when nullified."""
-    dec = trace.decoded
     core = BaseCore(trace, MachineConfig(), 64)
     nullified = 0
     for i, entry in enumerate(trace.entries):
-        assert dec.issue_fu[i] is core.issue_fu(entry)
-        if dec.issue_fu[i] is FUClass.NONE and entry.inst.spec.fu \
+        assert trace.issue_fu[i] is core.issue_fu(entry)
+        if trace.issue_fu[i] is FUClass.NONE and entry.inst.spec.fu \
                 is not FUClass.NONE:
             nullified += 1
     assert nullified > 0, "workload should exercise nullified slots"
-
-
-def test_decoded_is_cached_per_trace(trace):
-    assert trace.decoded is trace.decoded
-
-
-def test_decoded_lazy_on_fresh_trace(trace):
-    clone = Trace(trace.program, list(trace.entries),
-                  trace.final_registers, trace.final_memory)
-    assert clone._decoded is None
-    dec = clone.decoded
-    assert dec.n == trace.decoded.n

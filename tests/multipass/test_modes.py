@@ -45,7 +45,8 @@ def test_advance_respects_queue_window():
 
     trace = build_trace(body, compile_opts=NO_REORDER)
     config = MachineConfig(multipass_queue_size=64)
-    core = MultipassCore(trace, config)
+    # The per-cycle advance hook exists only on the scalar spec loop.
+    core = MultipassCore(trace, config, slow=True)
 
     max_lead = 0
     original = core._issue_advance_cycle

@@ -189,7 +189,7 @@ class TestCalendarProperties:
 # Issue-select discipline: head-pointer ready queue vs oldest-first scan
 # ---------------------------------------------------------------------------
 
-#: Port classes as in repro.resources.PORT_CODE: MEM, ALU, FP, BR,
+#: Port classes as in repro.isa.trace.PORT_CODE: MEM, ALU, FP, BR,
 #: slot-only.
 CODES = (0, 1, 2, 3, 4)
 

@@ -90,16 +90,15 @@ class TestFrontEnd:
 
         trace = build_trace(body)
         fe = make_frontend(trace)
-        branch = next(e for e in trace.entries if e.is_branch)
+        branch = trace.is_branch.index(True)
         for _ in range(8):
             fe.resolve_branch(branch, now=0)
-        assert fe.predictor.predict(branch.inst.index) is False
+        assert fe.predictor.predict(trace.pc[branch]) is False
 
     def test_already_resolved_branch_is_free(self):
         trace = straight_line_trace()
         fe = make_frontend(trace)
-        entry = trace.entries[0]
-        assert fe.resolve_branch(entry, 0, already_resolved=True) is False
+        assert fe.resolve_branch(0, 0, already_resolved=True) is False
         assert fe.predictor.predictions == 0
 
 

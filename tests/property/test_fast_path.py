@@ -1,11 +1,12 @@
 """Differential property tests for the simulation fast path.
 
-The stall fast-forward (``BaseCore.next_event_cycle``) and the
-decoded-trace inner loops must be *observationally invisible*: every
-statistic a core reports — cycles, per-category breakdown, counters,
-branch accuracy — must be bit-identical to the cycle-by-cycle reference
-loop (``slow=True``), and attaching a tracer (which forces per-cycle
-execution for event fidelity) must not change the numbers either.
+The stall fast-forward (``BaseCore.next_event_cycle``), the columnar
+kernels and the column-indexed inner loops must be *observationally
+invisible*: every statistic a core reports — cycles, per-category
+breakdown, counters, branch accuracy — must be bit-identical to the
+cycle-by-cycle reference loop (``slow=True``), and attaching a tracer
+(which routes the OOO and multipass families to their scalar loops)
+must not change the numbers either.
 
 Hypothesis drives the same adversarial program generator as
 ``test_random_programs``; the golden suite pins the packaged workloads,
