@@ -184,6 +184,13 @@ print(f"chrome trace ok: {len(events)} events, {len(modes)} mode spans")
 EOF
 python -m repro profile mcf --scale 0.05 --top 5 >/dev/null \
     || failures=$((failures + 1))
+# Aggregating telemetry runs on the columnar kernels: profile every
+# primary model (the OOO and runahead kernel routes included) and
+# collect sweep summaries.
+python -m repro profile mcf --all-models --scale 0.05 >/dev/null \
+    || failures=$((failures + 1))
+python -m repro sweep --smoke --telemetry >/dev/null \
+    || failures=$((failures + 1))
 rm -rf "$trace_dir"
 
 echo

@@ -1,8 +1,9 @@
 """Event-driven columnar kernel for the multipass-family cores.
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.multipass.core` (kept there as the ``--slow``/traced/
-``record_modes`` reference): same machine, same statistics,
+:mod:`repro.multipass.core` (kept there as the ``--slow``, per-event
+tracing and ``record_modes`` reference; aggregating telemetry runs
+here, see :func:`run_columnar`): same machine, same statistics,
 bit-identical cycle counts and stall attribution, but the per-cycle
 *work* is restructured around preallocated flat columns, following the
 PR 7 OOO kernel (:mod:`repro.ooo.columnar`):
@@ -73,9 +74,14 @@ _INF = 1 << 62
 def run_columnar(core, max_cycles: int) -> SimStats:
     """Run a :class:`~repro.multipass.core.MultipassCore` to completion.
 
-    ``core`` must be freshly constructed, un-traced, not in ``--slow``
-    mode and not recording modes (the caller routes those to the scalar
-    reference loop).
+    ``core`` must be freshly constructed, not in ``--slow`` mode and
+    not recording modes, and its tracer must be off or folding (the
+    caller routes per-event tracing to the scalar reference loop).  A
+    folding tracer's :class:`~repro.telemetry.record.RunRecord` is
+    written inline: cycle bins, stall spans (skipped and batched spans
+    as one charge), mode transitions, cache misses, and from the
+    counters at the end the restarts, result-store hits and the fetch
+    count (``n`` plus every wrong-path refetch).
     """
     trace = core.trace
     n = len(trace)
@@ -264,6 +270,20 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     LOAD = StallCategory.LOAD
     OTHER = StallCategory.OTHER
     NOP = Opcode.NOP
+    # Telemetry record (None when untraced): every write below sits
+    # behind one ``rec is not None`` test.
+    rec = core.tracer.record
+    if rec is not None:
+        rec_iv = rec.interval
+        rec_ib = rec.issue_bins
+        rec_cb = rec.commit_bins
+        rec_charge = rec.charge
+        rec_mode = rec.mode
+        rec_miss = rec.misses
+        l1d_name = l1d_cache.config.name
+        if n:
+            rec_mode(0, "architectural")
+    n_refetch = 0
     c_exec = c_fe = c_load = c_other = 0
     n_instructions = 0
     n_iq_peeks = n_iq_dequeues = n_waw_stalls = 0
@@ -366,6 +386,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if t > arch_stall_until:
                     arch_stall_until = t
                 n_refills += 1
+            if rec is not None:
+                rec_mode(now, "rally")
 
         elif mode == 1:
             # ---- advance-mode issue (one cycle) -----------------------
@@ -423,6 +445,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             max_peek = adv_ptr
                         n_advance_cycles += cycles
                         c_load += cycles
+                        if rec is not None:
+                            rec_charge(now, LOAD, -1, d_pc[trigger_seq],
+                                       cycles)
                         now += cycles
                         continue
                 slots = 0
@@ -752,6 +777,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                                 lat = (fill_wait
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
+                                if rec is not None:
+                                    rec_miss[l1d_name] = \
+                                        rec_miss.get(l1d_name, 0) + 1
                             else:
                                 l1_miss = False
                                 lat = l1d_latency
@@ -767,6 +795,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             h_horizon = hierarchy._pending_horizon
                             l1_miss = result.l1_miss
                             res_ready = result.ready
+                            if l1_miss and rec is not None:
+                                level = result.level
+                                rec_miss[level] = rec_miss.get(level, 0) + 1
                         n_advance_loads += 1
                         if outcome == 1:       # ASC hit: forward
                             for dest in d_dests[seq]:
@@ -921,6 +952,14 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 # No new executions: the cycle belongs to the latency
                 # that initiated advance mode.
                 c_load += 1
+            if rec is not None:
+                if new_execs:
+                    b = now // rec_iv
+                    if b >= len(rec_cb):
+                        rec.grow(b)
+                    rec_ib[b] += new_execs
+                else:
+                    rec_charge(now, LOAD, -1, d_pc[trigger_seq])
             n_advance_cycles += 1
             now += 1
             if wake is not None and not new_execs:
@@ -946,11 +985,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_advance_cycles += k
                         if peeks:
                             n_iq_peeks += peeks * k
+                        if rec is not None:
+                            rec_charge(now, LOAD, -1, d_pc[trigger_seq], k)
                         now = skip_to
             continue
 
         if now < arch_stall_until:
             c_other += 1
+            if rec is not None:
+                rec_charge(now, OTHER)
             now += 1
             if arch_stall_until > now:
                 limit = arch_ptr + buffer_size
@@ -967,6 +1010,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     skip_to = arch_stall_until
                 if skip_to > now:
                     c_other += skip_to - now
+                    if rec is not None:
+                        rec_charge(now, OTHER, -1, -1, skip_to - now)
                     now = skip_to
             continue
 
@@ -1063,6 +1108,12 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             pending[dest] = 0
                     aptr += width
                     cyc += 1
+                if rec is not None:
+                    for c in range(now, cyc):
+                        b = c // rec_iv
+                        if b >= len(rec_cb):
+                            rec.grow(b)
+                        rec_cb[b] += width
                 count = cycles * width
                 n_iq_dequeues += count
                 n_rs_merges += count
@@ -1083,6 +1134,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         trigger = -1
         wake = _INF
         dq = waw_poll = 0
+        merged0 = n_rs_merges          # merges/verifies commit unissued
         aptr = arch_ptr
         rallying = aptr < max_peek
         dynamic_groups = enable_regroup and rallying
@@ -1177,6 +1229,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         l1_miss = True
                         latency = (fill_wait if fill_wait > l1d_latency
                                    else l1d_latency)
+                        if rec is not None:
+                            rec_miss[l1d_name] = \
+                                rec_miss.get(l1d_name, 0) + 1
                     else:
                         l1_miss = False
                         latency = l1d_latency
@@ -1191,6 +1246,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     h_horizon = hierarchy._pending_horizon
                     latency = result.latency
                     l1_miss = result.l1_miss
+                    if l1_miss and rec is not None:
+                        level = result.level
+                        rec_miss[level] = rec_miss.get(level, 0) + 1
                 n_instructions += 1
                 if replay is not None:
                     core.commit_entry(seq)
@@ -1288,6 +1346,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         if fill_wait:
                             l1_miss = True
                             n_load_misses += 1
+                            if rec is not None:
+                                rec_miss[l1d_name] = \
+                                    rec_miss.get(l1d_name, 0) + 1
                             latency = (fill_wait
                                        if fill_wait > l1d_latency
                                        else l1d_latency)
@@ -1306,6 +1367,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_loads += 1
                         if l1_miss:
                             n_load_misses += 1
+                            if rec is not None:
+                                level = result.level
+                                rec_miss[level] = rec_miss.get(level, 0) + 1
                     else:
                         access(addr, now, kind="store")
                         mem_vals[addr] = d_value[seq]
@@ -1370,6 +1434,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     n_bp_wrong += 1
                     fe_redirects += 1
                     if f_fetched > seq + 1:
+                        n_refetch += f_fetched - seq - 1
                         f_fetched = seq + 1
                     t = now + mispredict_penalty
                     if t > f_stall:
@@ -1397,6 +1462,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 if rs_hi <= aptr:     # rs.max_seq() < aptr
                     mode = 0
                     in_rally = False
+                    if rec is not None:
+                        rec_mode(now + 1, "architectural")
 
         front_end_stall = aptr >= fetched_until and aptr >= f_fetched
         if issued:
@@ -1407,6 +1474,18 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             c_load += 1
         else:
             c_other += 1
+        if rec is not None:
+            if issued:
+                b = now // rec_iv
+                if b >= len(rec_cb):
+                    rec.grow(b)
+                rec_ib[b] += issued - (n_rs_merges - merged0)
+                rec_cb[b] += issued
+            else:
+                cause = (FRONT_END if front_end_stall
+                         else LOAD if reason_load else OTHER)
+                rec_pc = d_pc[aptr] if aptr < n else -1
+                rec_charge(now, cause, -1, rec_pc)
         now += 1
 
         if trigger >= 0 and wait_until > now:
@@ -1425,6 +1504,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
             unknown_store = False
             pass_dead = False
             n_advance_entries += 1
+            if rec is not None:
+                rec_mode(now, "advance")
         elif not issued and wake is not None:
             # A pure stall cycle: jump the clock, replicating the poll
             # counters and the per-cycle attribution.
@@ -1453,6 +1534,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_iq_dequeues += k
                     if waw_poll:
                         n_waw_stalls += k
+                    if rec is not None:
+                        rec_charge(now, cause, -1, rec_pc, k)
                     now = skip_to
 
     # ---- write-back ---------------------------------------------------
@@ -1492,6 +1575,13 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     asc.forwards += n_asc_forwards
     asc.replacements += n_asc_repl
     stats.instructions += n_instructions
+    if rec is not None:
+        rec.fetches += n + n_refetch
+        rec.restarts += n_advance_restarts
+        rec.rs_hits += n_advance_merges + n_rally_merges
+        # The run ends on the cycle of its last commit.
+        if now - 1 > rec.last_cycle:
+            rec.last_cycle = now - 1
     counters = stats.counters
     # Counter keys appear only when the scalar loop would have created
     # them (it only ever adds nonzero increments).

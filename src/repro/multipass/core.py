@@ -24,9 +24,11 @@ and disabling result persistence (``persist_results=False``) with both
 ablations yields the Dundas–Mudge runahead model of Figure 1(b).
 
 The production path is the event-driven columnar kernel
-(:mod:`repro.multipass.columnar`).  The scalar loop in this module is
-the cycle-by-cycle specification it is pinned against: ``slow=True``,
-tracing and ``record_modes`` run it, because they observe every cycle.
+(:mod:`repro.multipass.columnar`), traced into an aggregating sink
+included: the kernel writes the tracer's telemetry record inline.  The
+scalar loop in this module is the cycle-by-cycle specification it is
+pinned against: ``slow=True``, per-event tracing and ``record_modes``
+run it, because they observe every cycle.
 """
 
 from __future__ import annotations
@@ -664,12 +666,19 @@ class MultipassCore(BaseCore):
     # ------------------------------------------------------------------
 
     def run(self, max_cycles: int = 500_000_000) -> SimStats:
-        # The columnar kernel requires that nothing observes individual
-        # cycles: tracing emits a per-cycle mode event and record_modes
-        # logs one, so both (and --slow) route to the scalar reference
-        # loop below (stats are bit-identical either way — the
-        # differential suite pins it).
-        if self.slow or self.tracer.enabled or self.record_modes:
+        """Route to the columnar kernel or the scalar reference loop.
+
+        The columnar kernel is the production path, traced into an
+        aggregating (folding) sink included: it writes the tracer's
+        record inline.  Per-event tracing (JSONL, ring buffer,
+        pipeview, Chrome trace) and ``record_modes`` observe individual
+        cycles, so they — and ``--slow`` — run the scalar loop below
+        (stats are bit-identical either way; the differential suites
+        pin it).
+        """
+        tracer = self.tracer
+        if self.slow or self.record_modes or (
+                tracer.enabled and tracer.record is None):
             return self._run_scalar(max_cycles)
         return run_columnar(self, max_cycles)
 

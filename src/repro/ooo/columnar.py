@@ -1,7 +1,9 @@
 """Event-driven columnar kernel for the out-of-order cores (gen 2).
 
 Drop-in replacement for the scalar cycle loop in
-:mod:`repro.ooo.core` (kept there as the ``--slow``/traced reference):
+:mod:`repro.ooo.core` (kept there as the ``--slow`` and per-event
+tracing reference; aggregating telemetry runs here, see
+:func:`run_columnar`):
 same machine, same statistics, bit-identical cycle counts and stall
 attribution, but the per-cycle *work* is restructured around
 preallocated flat columns and a shared event calendar
@@ -116,8 +118,12 @@ _INF = 1 << 62
 def run_columnar(core, max_cycles: int) -> SimStats:
     """Run an :class:`~repro.ooo.core.OutOfOrderCore` to completion.
 
-    ``core`` must be freshly constructed, un-traced and not in ``--slow``
-    mode (the caller routes those to the scalar reference loop).
+    ``core`` must be freshly constructed and not in ``--slow`` mode, and
+    its tracer must be off or folding (the caller routes per-event
+    tracing to the scalar reference loop).  A folding tracer's
+    :class:`~repro.telemetry.record.RunRecord` is written inline: cycle
+    bins, stall spans (skipped spans as one charge), cache misses and
+    the fetch count, which is ``n`` plus every wrong-path refetch.
     """
     trace = core.trace
     n = len(trace)
@@ -221,6 +227,18 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     n_loads = n_load_misses = n_mispredicts = n_commits = 0
 
     replay = core.replay
+    # Telemetry record (None when untraced): every write below sits
+    # behind one ``rec is not None`` test.
+    rec = core.tracer.record
+    if rec is not None:
+        rec_iv = rec.interval
+        rec_ib = rec.issue_bins
+        rec_cb = rec.commit_bins
+        rec_charge = rec.charge
+        rec_miss = rec.misses
+        l1d_name = l1d_cache.config.name
+        l2_name = l2_cache.config.name
+    n_refetch = 0
     queue_cap = core.decentralized_queues
     has_queues = queue_cap is not None
     queue_fill = [0, 0, 0]
@@ -586,6 +604,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             if fill_wait:
                                 n_load_misses += 1
                                 load_wait[seq] = 1
+                                if rec is not None:
+                                    rec_miss[l1d_name] = \
+                                        rec_miss.get(l1d_name, 0) + 1
                                 if fill_wait > l1d_latency:
                                     latency = fill_wait
                                 else:
@@ -637,6 +658,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             n_loads += 1
                             n_load_misses += 1
                             load_wait[seq] = 1
+                            if rec is not None:
+                                rec_miss[l2_name] = \
+                                    rec_miss.get(l2_name, 0) + 1
                         else:
                             l1d_cache.accesses = l1d_acc
                             l1d_cache.hits = l1d_hit
@@ -651,6 +675,10 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             if result.l1_miss:
                                 n_load_misses += 1
                                 load_wait[seq] = 1
+                                if rec is not None:
+                                    level = result.level
+                                    rec_miss[level] = \
+                                        rec_miss.get(level, 0) + 1
                     else:
                         l1d_cache.accesses = l1d_acc
                         l1d_cache.hits = l1d_hit
@@ -695,6 +723,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                         n_bp_wrong += 1
                         frontend.redirects += 1
                         if f_fetched > seq + 1:
+                            n_refetch += f_fetched - seq - 1
                             f_fetched = seq + 1
                         redirect_stall = now + mispredict_penalty
                         if redirect_stall > f_stall:
@@ -803,6 +832,19 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 c_load += 1
             else:
                 c_other += 1
+        if rec is not None:
+            if issued or committed:
+                b = now // rec_iv
+                if b >= len(rec_cb):
+                    rec.grow(b)
+                rec_ib[b] += issued
+                rec_cb[b] += committed
+            if not issued:
+                if commit_ptr == dispatch_ptr:
+                    rec_charge(now, FRONT_END, -1, d_pc[dispatch_ptr]
+                               if dispatch_ptr < n else -1)
+                else:
+                    rec_charge(now, cause, -1, d_pc[commit_ptr])
         now += 1
 
         # ---- idle fast-forward ------------------------------------------
@@ -815,9 +857,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         # verbatim.  The only per-cycle actor left is fetch, so the
         # skip is gated on fetch being a no-op for the whole span —
         # the base-class clamp keyed on the (frozen) commit pointer.
-        # This subsumes the scalar loop's stricter dispatch-pointer
-        # veto: a capacity-blocked dispatch cannot unblock before a
-        # commit, and the wake horizon bounds the first commit.  (The
+        # A starved dispatch pointer needs no veto of its own: a
+        # capacity-blocked dispatch cannot unblock before a commit,
+        # and the wake horizon bounds the first commit.  (The
         # heap cannot replace the horizon scan: an event landing
         # exactly on ``now`` has already been popped, yet must veto
         # the skip.)
@@ -862,6 +904,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     c_load += skip_to - now
                 else:
                     c_other += skip_to - now
+                if rec is not None:
+                    rec_charge(now, cause, -1, d_pc[h], skip_to - now)
                 now = skip_to
 
     frontend.fetched_until = f_fetched
@@ -884,6 +928,11 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         counters["l1d_load_misses"] += n_load_misses
     if n_mispredicts:
         counters["mispredicts"] += n_mispredicts
+    if rec is not None:
+        rec.fetches += n + n_refetch
+        # The run ends on the cycle of its last commit.
+        if now - 1 > rec.last_cycle:
+            rec.last_cycle = now - 1
     breakdown = stats.cycle_breakdown
     breakdown[EXECUTION] += c_exec
     breakdown[FRONT_END] += c_fe

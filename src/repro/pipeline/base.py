@@ -135,10 +135,12 @@ class BaseCore:
 
         Under ``check=True`` the entry is validated against independent
         functional re-execution (exactly-once, in-order, on the
-        architectural path); under tracing a ``COMMIT`` event is
-        emitted; otherwise this is a no-op.
+        architectural path); under tracing, when the commit cycle
+        ``now`` is given, a ``COMMIT`` is recorded (the columnar kernels
+        bin their commits themselves and pass no cycle); otherwise this
+        is a no-op.
         """
-        if self.tracer.enabled:
+        if now >= 0 and self.tracer.enabled:
             self.tracer.commit(now, seq, self.trace.pc[seq])
         if self.replay is not None:
             self.replay.commit(self.trace.entries[seq])

@@ -20,11 +20,21 @@ paper's evidence relies on:
 * ``CACHE_MISS`` — an L1-missing demand access, labelled with the
   level that served it.
 
+Aggregating sinks get no events at all: a :class:`Tracer` over a sink
+that declares ``fold(record)`` writes one flat
+:class:`~repro.telemetry.record.RunRecord` per run instead (the
+columnar kernels write it inline) and hands it to ``sink.fold`` at
+:meth:`Tracer.finish`.
+
 Overhead contract: a core holds either a live :class:`Tracer`
-(``enabled`` is True) or the shared :data:`NULL_TRACER`; every
-instrumentation site is guarded by one ``enabled`` attribute check, so
-disabled tracing costs exactly that check and nothing else.  The
-tier-1 golden tests pin that stats are bit-identical either way.
+(``enabled`` is True) or the shared :data:`NULL_TRACER` (``enabled``
+False, ``record`` None); every scalar instrumentation site is guarded
+by one hoisted ``enabled`` check and every kernel site by one local
+``rec is not None`` test, so disabled tracing costs exactly that test
+and nothing else.  Per-event tracing costs one :class:`Event` per
+occurrence on the scalar loop; aggregating tracing costs a list append
+or a bin increment on the production path.  The tier-1 golden tests
+pin that stats are bit-identical on every route.
 """
 
 from __future__ import annotations
@@ -112,18 +122,42 @@ class Tracer:
     coalesces consecutive same-category, same-pc stall charges into
     spans and consecutive same-mode cycles into mode spans, so sinks
     see clean begin/end pairs instead of one event per stalled cycle.
+
+    Routing by sink capability: when the sink declares
+    ``fold(record)`` (an aggregating sink, see
+    :class:`~repro.telemetry.record.FoldingSink`), no :class:`Event` is
+    built at all — the tracer's methods are the methods of a
+    :class:`~repro.telemetry.record.RunRecord` (``self.record``),
+    the columnar kernels write that record inline, and :meth:`finish`
+    hands it to ``sink.fold``.  Any other sink receives the event
+    stream below; ``record`` is then ``None``.
     """
 
     enabled = True
 
     def __init__(self, sink):
         self.sink = sink
+        self._finished = False
+        self.record = None
+        if callable(getattr(sink, "fold", None)):
+            # Deferred: record.py imports this module.
+            from .record import DEFAULT_INTERVAL, RunRecord
+            record = self.record = RunRecord(
+                getattr(sink, "interval", DEFAULT_INTERVAL))
+            self.fetch = record.fetch
+            self.issue = record.issue
+            self.commit = record.commit
+            self.restart = record.restart
+            self.rs_hit = record.rs_hit
+            self.cache_miss = record.cache_miss
+            self.charge = record.charge
+            self.mode = record.mode
+            return
         # Open stall span: (category, pc, seq, start, end-exclusive).
         self._stall: Optional[list] = None
         # Open mode span: (mode name, start cycle).
         self._mode: Optional[str] = None
         self._mode_start = 0
-        self._finished = False
 
     # -- per-instruction milestones -------------------------------------
 
@@ -201,6 +235,11 @@ class Tracer:
         if self._finished:
             return
         self._finished = True
+        if self.record is not None:
+            self.record.finish(cycle)
+            self.sink.fold(self.record)
+            self.sink.close()
+            return
         if self._stall is not None:
             self._end_stall()
         if self._mode is not None and cycle > self._mode_start:
@@ -220,6 +259,7 @@ class NullTracer:
     """
 
     enabled = False
+    record = None
 
     def fetch(self, *args, **kwargs) -> None:
         pass

@@ -8,17 +8,20 @@ interval doubling) so memory stays bounded no matter how long a run is
 — the sampling knob the telemetry overhead budget relies on.
 
 :class:`MetricsSink` is the standard consumer: a telemetry sink that
-folds the event stream into a registry on the fly (no event storage)
-and renders a JSON-able :meth:`~MetricsSink.summary` — the per-cell
-payload the parallel sweep engine attaches to its report.
+folds a run's :class:`~repro.telemetry.record.RunRecord` into a
+registry (no event storage) and renders a JSON-able
+:meth:`~MetricsSink.summary` — the per-cell payload the parallel sweep
+engine attaches to its report.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
-from .events import Event, EventKind
-from .sinks import TelemetrySink
+from ..pipeline.stats import StallCategory
+from .events import EventKind
+from .record import DEFAULT_INTERVAL, FoldingSink, RunRecord
 
 
 class Histogram:
@@ -139,55 +142,89 @@ class MetricsRegistry:
         }
 
 
-class MetricsSink(TelemetrySink):
-    """Aggregate the event stream into a :class:`MetricsRegistry`.
+class MetricsSink(FoldingSink):
+    """Aggregate a run's :class:`~repro.telemetry.record.RunRecord`
+    into a :class:`MetricsRegistry`.
 
     Collected per run:
 
     * ``events.<kind>`` counters for every event kind;
     * ``stall_cycles.<category>`` counters and a ``stall_span_cycles``
-      histogram (from ``STALL_END`` spans);
+      histogram (one sample per stall span);
     * ``mode_cycles.<mode>`` occupancy counters;
     * ``cache_miss.<level>`` counters;
     * ``commits`` and ``issues`` interval series (per-interval IPC is
       ``points[i] / interval``) and a ``mode.<mode>`` occupancy series.
+
+    The summary is identical whether the run reached the sink as a
+    record (a :class:`~repro.telemetry.events.Tracer` over this sink)
+    or as an event stream through :meth:`emit`.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 interval: int = 1024, max_points: int = 256):
+                 interval: int = DEFAULT_INTERVAL, max_points: int = 256):
         super().__init__()
         self.registry = registry or MetricsRegistry()
-        self._interval = interval
+        self.interval = interval
         self._max_points = max_points
         self.last_cycle = 0
 
     def _series(self, name: str) -> IntervalSeries:
-        return self.registry.timeseries(name, self._interval,
+        return self.registry.timeseries(name, self.interval,
                                         self._max_points)
 
-    def emit(self, event: Event) -> None:
+    def fold(self, record: RunRecord) -> None:
         reg = self.registry
-        kind = event.kind
-        reg.count(f"events.{kind.value}")
-        if event.cycle > self.last_cycle:
-            self.last_cycle = event.cycle
-        if kind is EventKind.COMMIT:
-            self._series("commits").record(event.cycle)
-        elif kind is EventKind.ISSUE:
-            self._series("issues").record(event.cycle)
-        elif kind is EventKind.STALL_END:
-            reg.count(f"stall_cycles.{event.category.value}",
-                      event.cycles)
-            reg.histogram("stall_span_cycles").record(event.cycles)
-        elif kind is EventKind.MODE:
-            reg.count(f"mode_cycles.{event.mode}", event.cycles)
-            self._series(f"mode.{event.mode}").record_span(
-                event.cycle, event.cycles)
-        elif kind is EventKind.CACHE_MISS:
-            reg.count(f"cache_miss.{event.level}")
+        spans = record.spans
+        modes = record.modes
+        misses = record.misses
+        for kind, n in (
+                (EventKind.FETCH, record.fetches),
+                (EventKind.ISSUE, sum(record.issue_bins)),
+                (EventKind.COMMIT, sum(record.commit_bins)),
+                (EventKind.STALL_BEGIN, len(spans)),
+                (EventKind.STALL_END, len(spans)),
+                (EventKind.MODE, len(modes)),
+                (EventKind.RESTART, record.restarts),
+                (EventKind.RS_HIT, record.rs_hits),
+                (EventKind.CACHE_MISS, sum(misses.values()))):
+            if n:
+                reg.count(f"events.{kind.value}", n)
+        if record.last_cycle > self.last_cycle:
+            self.last_cycle = record.last_cycle
+        # Bin i starts at cycle i * interval; recording its total there
+        # lands it in the same (possibly coarsened) interval as each of
+        # its events, and coarsening depends only on the latest bin.
+        interval = record.interval
+        for name, bins in (("commits", record.commit_bins),
+                           ("issues", record.issue_bins)):
+            series = None
+            for i, n in enumerate(bins):
+                if n:
+                    if series is None:
+                        series = self._series(name)
+                    series.record(i * interval, n)
+        if spans:
+            by_category: Dict[StallCategory, int] = {}
+            lengths = Counter()
+            for category, _pc, _start, cycles in spans:
+                by_category[category] = \
+                    by_category.get(category, 0) + cycles
+                lengths[cycles] += 1
+            for category, cycles in by_category.items():
+                reg.count(f"stall_cycles.{category.value}", cycles)
+            hist = reg.histogram("stall_span_cycles")
+            for cycles, n in lengths.items():
+                hist.record(cycles, n)
+        for mode, start, cycles in modes:
+            reg.count(f"mode_cycles.{mode}", cycles)
+            self._series(f"mode.{mode}").record_span(start, cycles)
+        for level, n in misses.items():
+            reg.count(f"cache_miss.{level}", n)
 
     def summary(self) -> dict:
         """JSON/pickle-safe per-run payload (sweep cell attachment)."""
+        self.close()                  # fold any events fed through emit
         payload = self.registry.snapshot()
         payload["last_cycle"] = self.last_cycle
         return payload

@@ -1,9 +1,9 @@
 """Stall-attribution profiler: where do the cycles actually go?
 
 Figure 6 answers that question in aggregate; this module answers it
-per static instruction.  :class:`StallProfileSink` folds the traced
-stall spans into ``(category, pc)`` cycle totals during the run (no
-event storage), and :func:`render_profile` prints a flamegraph-style
+per static instruction.  :class:`StallProfileSink` folds the run's
+stall spans into ``(category, pc)`` cycle totals when the run finishes
+(no event storage), and :func:`render_profile` prints a flamegraph-style
 text tree — workload → stall category → hottest static sites — with
 the cross-model comparison the paper's story rests on: the in-order
 baseline spends the plurality of its cycles stalled on loads, and
@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..isa.trace import Trace
 from ..machine import MachineConfig
 from ..pipeline.stats import SimStats, StallCategory
-from .events import Event, EventKind, Tracer
-from .sinks import TelemetrySink
+from .events import Tracer
+from .record import FoldingSink, RunRecord
 
 
-class StallProfileSink(TelemetrySink):
+class StallProfileSink(FoldingSink):
     """Aggregate stall spans into per-(category, pc) cycle totals."""
 
     def __init__(self):
@@ -37,16 +37,15 @@ class StallProfileSink(TelemetrySink):
         self.restarts = 0
         self.cache_misses: Dict[str, int] = {}
 
-    def emit(self, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.STALL_END:
-            key = (event.category, event.pc)
-            self.cells[key] = self.cells.get(key, 0) + event.cycles
-        elif kind is EventKind.RESTART:
-            self.restarts += 1
-        elif kind is EventKind.CACHE_MISS:
-            self.cache_misses[event.level] = \
-                self.cache_misses.get(event.level, 0) + 1
+    def fold(self, record: RunRecord) -> None:
+        cells = self.cells
+        for category, pc, _start, cycles in record.spans:
+            key = (category, pc)
+            cells[key] = cells.get(key, 0) + cycles
+        self.restarts += record.restarts
+        misses = self.cache_misses
+        for level, n in record.misses.items():
+            misses[level] = misses.get(level, 0) + n
 
     def category_totals(self) -> Dict[StallCategory, int]:
         totals: Dict[StallCategory, int] = {}

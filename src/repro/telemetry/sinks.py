@@ -4,8 +4,10 @@ All sinks share a two-method contract — ``emit(event)`` during the run
 and ``close()`` at :meth:`Tracer.finish` time — plus an ``enabled``
 class attribute that instrumentation sites check before constructing
 events.  Aggregating consumers (the metrics registry, the stall
-profiler) implement the same contract, so anything that accepts a sink
-composes with them.
+profiler) additionally declare ``fold(record)``: a tracer that drives
+them directly hands them one :class:`~repro.telemetry.record.RunRecord`
+instead of events, and their ``emit`` adapts events into the same
+record, so anything that accepts a sink still composes with them.
 """
 
 from __future__ import annotations

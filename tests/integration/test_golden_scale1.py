@@ -8,6 +8,12 @@ count and a SHA-256 digest of the same payload the scale-0.1 goldens
 store in full (cycles, instructions, stall breakdown, branch accuracy
 and every counter).
 
+The same tier runs the fast==slow differential on a fixed subset at
+scale 1.0 (``FAST_SLOW_WORKLOADS`` x every primary model): the default
+route traced into a ``MetricsSink`` — the columnar kernels writing the
+telemetry record — against the ``slow=True`` scalar loop streaming
+per-event telemetry, on both the stats and the summaries.
+
 The tier takes a few tens of seconds, so it is marked ``slow``:
 pyproject's ``addopts`` deselects it from the default (tier-1) run and
 ``scripts/check.sh`` runs it with ``-m slow``.  Regenerate the digests
@@ -23,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import MODEL_FACTORIES, TraceCache, run_model
+from repro.telemetry import MetricsSink, TeeSink, Tracer
 from repro.workloads import ALL_WORKLOADS
 
 from .test_golden_stats import _payload
@@ -32,6 +39,10 @@ pytestmark = pytest.mark.slow
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "scale1.json"
 SCALE = 1.0
 MODELS = sorted(MODEL_FACTORIES)
+
+#: The fast==slow subset: the paper's two headline rows (mcf, twolf),
+#: about 16 s for all five models on both routes.
+FAST_SLOW_WORKLOADS = ("mcf", "twolf")
 
 
 def _digest(payload) -> str:
@@ -67,3 +78,20 @@ def test_scale1_digest(workload, request):
         f"{workload}: scale-1.0 stats drifted from {GOLDEN.name}:\n"
         + json.dumps({"golden": golden[workload], "actual": actual},
                      indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("workload", FAST_SLOW_WORKLOADS)
+def test_scale1_fast_matches_slow(workload):
+    trace = TraceCache(SCALE).trace(workload)
+    golden = json.loads(GOLDEN.read_text())[workload]
+    for model in MODELS:
+        fast_sink = MetricsSink()
+        fast = _payload(run_model(model, trace, tracer=Tracer(fast_sink)))
+        # A TeeSink has no fold(), so the tracer emits per-event into
+        # MetricsSink.emit: the event route, without storing events.
+        slow_sink = MetricsSink()
+        slow = _payload(run_model(model, trace, slow=True,
+                                  tracer=Tracer(TeeSink(slow_sink))))
+        assert fast == slow, (workload, model)
+        assert _digest(fast) == golden[model]["digest"], (workload, model)
+        assert fast_sink.summary() == slow_sink.summary(), (workload, model)

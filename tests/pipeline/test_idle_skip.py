@@ -16,9 +16,9 @@ by even one cycle drifts the cycle count or the stall attribution and
 fails the differential against the ``slow=True`` reference, which never
 skips.
 
-Asserted for every registered model (all of them fast-forward through
-``BaseCore.next_event_cycle`` or, for the OOO cores, the columnar
-kernel's span logic).
+Asserted for every registered model (the in-order core fast-forwards
+through ``BaseCore.next_event_cycle``, the OOO and multipass families
+through their columnar kernels' span logic).
 """
 
 import pytest

@@ -66,6 +66,27 @@ def _comparable(stats):
             dict(stats.counters), stats.branch_accuracy)
 
 
+def _traced_summary(model, trace, slow):
+    """Stats plus the ``MetricsSink`` summary of one traced run.
+
+    The fast run folds the record the kernel writes inline; the slow
+    run streams per-event telemetry from the scalar loop, folded
+    through ``MetricsSink.emit``.
+    """
+    from repro.telemetry import MetricsSink, TelemetrySink, Tracer
+
+    if not slow:
+        sink = MetricsSink()
+        stats = run_model(model, trace, tracer=Tracer(sink))
+        return stats, sink.summary()
+    stream = TelemetrySink()
+    stats = run_model(model, trace, slow=True, tracer=Tracer(stream))
+    sink = MetricsSink()
+    for event in stream.events:
+        sink.emit(event)
+    return stats, sink.summary()
+
+
 def _run_recorded(model, trace, slow):
     core = make_model(model, trace, slow=slow)
     recorder = RetireRecorder()
@@ -78,13 +99,20 @@ def _run_recorded(model, trace, slow):
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs)
 def test_columnar_matches_scalar_everywhere(spec):
-    """Cycles, breakdown, counters and accuracy agree on all 9 variants."""
+    """Cycles, breakdown, counters and accuracy agree on all 9 variants,
+    and so does the telemetry summary: the record the kernel writes
+    folds to exactly what the scalar loop's event stream folds to."""
     compiled = compile_program(materialize(spec).build())
     trace = execute(compiled)
     for model in ALL_MODELS:
         fast = run_model(model, trace)
         slow = run_model(model, trace, slow=True)
         assert _comparable(fast) == _comparable(slow), model
+        fast_traced, fast_summary = _traced_summary(model, trace, False)
+        slow_traced, slow_summary = _traced_summary(model, trace, True)
+        assert _comparable(fast_traced) == _comparable(fast), model
+        assert _comparable(slow_traced) == _comparable(fast), model
+        assert fast_summary == slow_summary, model
 
 
 @settings(max_examples=20, deadline=None,
@@ -130,21 +158,55 @@ def test_audit_oracle_holds_on_columnar_path(spec, model):
         f"static lower bound {bound} (AUD001)")
 
 
-def test_columnar_routing():
-    """--slow and tracing must route to the scalar reference loop."""
-    from repro.telemetry import TelemetrySink, Tracer
+def test_columnar_routing(monkeypatch):
+    """Aggregating sinks ride the kernels; per-event sinks and --slow
+    run the scalar spec loop.
+
+    Under a folding sink (``MetricsSink``, ``StallProfileSink``) the
+    columnar kernel writes the tracer's record itself, so the scalar
+    loop must never be entered.  A per-event sink (``TelemetrySink``:
+    the JSONL, ring-buffer, pipeview and Chrome exports) and ``--slow``
+    still take the scalar loop.  Every route yields the same stats.
+    """
+    from repro.multipass.core import MultipassCore
+    from repro.ooo.core import OutOfOrderCore
+    from repro.telemetry import (MetricsSink, StallProfileSink,
+                                 TelemetrySink, Tracer)
+
     spec = ([("add", *_regs(3))], 2, False)
     trace = execute(compile_program(materialize(spec).build()))
-    for model in ("ooo", "multipass", "runahead", "twopass"):
-        fast = make_model(model, trace)
-        assert not fast.slow
-        slow = make_model(model, trace, slow=True)
-        assert slow.slow
-        traced = make_model(model, trace, tracer=Tracer(TelemetrySink()))
-        assert traced.tracer.enabled
-        # All three agree on the stats regardless of the loop that ran.
-        a, b, c = fast.run(), slow.run(), traced.run()
-        assert _comparable(a) == _comparable(b) == _comparable(c), model
+    scalar = {cls: cls._run_scalar for cls in (OutOfOrderCore,
+                                               MultipassCore)}
+    entered = []
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{self.model_name}: scalar loop entered")
+
+    def spy_on(original):
+        def spy(self, *args, **kwargs):
+            entered.append(self.model_name)
+            return original(self, *args, **kwargs)
+        return spy
+
+    for model in ("ooo", "ooo-realistic", "multipass", "runahead",
+                  "twopass"):
+        for cls in scalar:
+            monkeypatch.setattr(cls, "_run_scalar", forbidden)
+        kernel = [make_model(model, trace).run(),
+                  make_model(model, trace,
+                             tracer=Tracer(MetricsSink())).run(),
+                  make_model(model, trace,
+                             tracer=Tracer(StallProfileSink())).run()]
+        for cls, original in scalar.items():
+            monkeypatch.setattr(cls, "_run_scalar", spy_on(original))
+        del entered[:]
+        spec_runs = [make_model(model, trace, slow=True).run(),
+                     make_model(model, trace,
+                                tracer=Tracer(TelemetrySink())).run()]
+        assert len(entered) == 2, model
+        expected = _comparable(spec_runs[0])
+        for stats in kernel + spec_runs:
+            assert _comparable(stats) == expected, model
 
 
 @settings(max_examples=15, deadline=None,

@@ -4,9 +4,9 @@ The stall fast-forward (``BaseCore.next_event_cycle``), the columnar
 kernels and the column-indexed inner loops must be *observationally
 invisible*: every statistic a core reports — cycles, per-category
 breakdown, counters, branch accuracy — must be bit-identical to the
-cycle-by-cycle reference loop (``slow=True``), and attaching a tracer
-(which routes the OOO and multipass families to their scalar loops)
-must not change the numbers either.
+cycle-by-cycle reference loop (``slow=True``), and attaching a
+per-event tracer (which routes the OOO and multipass families to
+their scalar loops) must not change the numbers either.
 
 Hypothesis drives the same adversarial program generator as
 ``test_random_programs``; the golden suite pins the packaged workloads,

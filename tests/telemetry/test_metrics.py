@@ -68,3 +68,63 @@ def test_metrics_sink_summary_is_json_safe():
     sink = MetricsSink()
     sink.emit(Event(EventKind.MODE, 0, mode="advance", cycles=7))
     json.dumps(sink.summary())
+
+
+def _drive(tracer):
+    """A hand-written run: spans split by pc, category and execution,
+    a multi-cycle charge, mode transitions and every point event."""
+    tracer.mode(0, "architectural")
+    tracer.fetch(0, 0, 0)
+    tracer.issue(0, 0, 0)
+    tracer.charge(0, StallCategory.EXECUTION)
+    for cycle in range(1, 4):
+        tracer.charge(cycle, StallCategory.LOAD, seq=1, pc=4)
+    tracer.charge(4, StallCategory.LOAD, seq=1, pc=4, cycles=1500)
+    tracer.mode(1504, "advance")
+    tracer.rs_hit(1504, 2, 5, mode="advance")
+    tracer.restart(1505, 1, 4)
+    tracer.charge(1504, StallCategory.OTHER, pc=5)
+    tracer.charge(1505, StallCategory.EXECUTION)
+    tracer.charge(1506, StallCategory.OTHER, pc=5)
+    tracer.mode(1507, "rally")
+    tracer.cache_miss(1507, 3, 6, "L2")
+    tracer.commit(1507, 0, 0)
+    tracer.commit(1507, 1, 4)
+    tracer.finish(1508)
+
+
+def test_tracer_routes_folding_sinks_to_a_record():
+    from repro.telemetry import TeeSink, TelemetrySink
+
+    assert Tracer(MetricsSink()).record is not None
+    assert Tracer(TelemetrySink()).record is None
+    assert Tracer(TeeSink(MetricsSink())).record is None
+
+
+def test_record_and_event_routes_summarize_identically():
+    from repro.telemetry import TeeSink
+
+    folded = MetricsSink(interval=256, max_points=4)
+    _drive(Tracer(folded))
+    streamed = MetricsSink(interval=256, max_points=4)
+    _drive(Tracer(TeeSink(streamed)))      # per-event route via emit()
+    assert folded.summary() == streamed.summary()
+    counters = folded.summary()["counters"]
+    assert counters["events.stall_end"] == 3
+    assert counters["stall_cycles.load"] == 1503
+    assert folded.summary()["last_cycle"] == 1507
+
+
+def test_same_cycle_mode_calls_keep_the_last():
+    """Transition-only mode calls (the kernels') resolve like per-cycle
+    ones: a mode replaced within its first cycle never appears."""
+    sink = MetricsSink()
+    tracer = Tracer(sink)
+    tracer.mode(0, "rally")
+    tracer.mode(3, "architectural")
+    tracer.mode(3, "advance")
+    tracer.finish(5)
+    counters = sink.summary()["counters"]
+    assert counters["mode_cycles.rally"] == 3
+    assert counters["mode_cycles.advance"] == 2
+    assert "mode_cycles.architectural" not in counters
