@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.registers import HARDWIRED
+from ..isa.opcodes import FUClass
+from ..isa.registers import HARDWIRED, NUM_REGS
 from ..isa.trace import Trace
 from ..resources import PortModel
 
@@ -100,21 +101,25 @@ def _dep_start_times(trace: Trace) -> List[int]:
     RESTART hints conservatively start at 0 (models may issue them
     without a readiness check), and never publish destinations.
     """
-    ready: Dict[int, int] = {}
+    # Cycle each register's value exists; the hard-wired registers'
+    # writes land in a slot no source reads.
+    ready = [0] * (NUM_REGS + 1)
+    sink = {reg: NUM_REGS for reg in HARDWIRED}
     starts = [0] * len(trace)
-    for i in range(len(trace)):
-        if not trace.executed[i] or trace.is_restart[i]:
+    for i, (executed, restart, srcs, dests, latency) in enumerate(zip(
+            trace.executed, trace.is_restart, trace.srcs, trace.dests,
+            trace.latency)):
+        if not executed or restart:
             continue
         start = 0
-        for reg in trace.srcs[i]:
-            avail = ready.get(reg, 0)
+        for reg in srcs:
+            avail = ready[reg]
             if avail > start:
                 start = avail
         starts[i] = start
-        done = start + trace.latency[i]
-        for reg in trace.dests[i]:
-            if reg not in HARDWIRED:
-                ready[reg] = done
+        done = start + latency
+        for reg in dests:
+            ready[sink.get(reg, reg)] = done
     return starts
 
 
@@ -133,20 +138,13 @@ def cycle_lower_bound(trace: Trace,
         # and the simulation runs at least one cycle past that issue.
         dep_height = max(starts) + 1
 
-    n_mem = n_alu = n_fp = n_br = 0
-    for i in range(n):
-        if not trace.executed[i]:
-            continue  # nullified entries occupy only a slot
-        if trace.is_load[i] or trace.is_store[i]:
-            n_mem += 1
-        elif trace.is_branch[i]:
-            n_br += 1
-        else:
-            name = trace.fu[i].name
-            if name in ("FP", "MULDIV"):
-                n_fp += 1
-            elif name == "ALU":
-                n_alu += 1
+    # Executed entries by port class; nullified entries occupy only a
+    # slot, and their issue_fu is NONE.
+    count = trace.issue_fu.count
+    n_mem = count(FUClass.MEM)
+    n_br = count(FUClass.BR)
+    n_alu = count(FUClass.ALU)
+    n_fp = count(FUClass.FP) + count(FUClass.MULDIV)
 
     bound = CycleBound(
         entries=n,

@@ -7,13 +7,11 @@ rename discipline or on the machine's I-cache geometry — as functions
 of the trace, memoized in ``trace.derived`` so a whole model sweep
 shares one build:
 
-* :func:`dependences` — the static dependence graph in CSR form
-  (``prod_off``/``prod_seq`` and ``cons_off``/``cons_seq``) for one
-  rename discipline, and :func:`issue_kind`, the OOO kernel's packed
-  issue-path flags over it;
+* :func:`dependences` — the static dependence graph for one rename
+  discipline, as the rows the OOO kernel reads: per-seq producer and
+  consumer tuples and the packed issue-path flags;
 * :func:`fetch_lines` / :func:`fetch_runs` — per-seq I-cache lines and
-  same-line run ends for one geometry;
-* :func:`event_pairs` — the OOO kernel's prebuilt wheel entries.
+  same-line run ends for one geometry.
 
 The dependence graph is *exact*, not an approximation, because every
 timing model replays the architecturally correct trace in sequence
@@ -35,6 +33,7 @@ dynamic rename-table walk is pinned by ``tests/isa/test_columns.py``.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, Callable, List, Tuple, TypeVar
 
 from .registers import NUM_REGS
@@ -55,13 +54,15 @@ def _memo(trace: "Trace", key: tuple, build: Callable[[], T]) -> T:
 
 
 class DependenceGraph:
-    """Static producer/consumer CSR arrays for one rename discipline.
+    """Static producer and consumer rows for one rename discipline.
 
-    ``prod_seq[prod_off[i]:prod_off[i + 1]]`` lists the in-trace
-    producers of seq ``i`` — the last prior writer of each of its source
-    registers — deduplicated, in first-occurrence source order.  The
-    transpose, ``cons_seq[cons_off[p]:cons_off[p + 1]]``, lists every
-    seq that names ``p`` as a producer, in ascending seq order.
+    ``prods[i]`` is the tuple of in-trace producers of seq ``i`` — the
+    last prior writer of each of its source registers — deduplicated,
+    in first-occurrence source order.  ``cons[p]`` is its transpose:
+    every seq that names ``p`` as a producer, in ascending seq order.
+    ``issue_kind`` packs the OOO kernel's issue-path flags per seq —
+    bit 0 memory-executing, bit 1 branch, bit 2 has consumers — so one
+    subscript in the issue tail replaces three flag-column probes.
 
     ``merged_dests=True`` reproduces the conventional-predication rename
     rule (no predicate renaming): a predicated instruction additionally
@@ -70,96 +71,57 @@ class DependenceGraph:
     become the new last-writers.
     """
 
-    __slots__ = ("merged_dests", "prod_off", "prod_seq",
-                 "cons_off", "cons_seq", "_prod_tuples", "_cons_tuples")
+    __slots__ = ("merged_dests", "prods", "cons", "issue_kind")
 
     def __init__(self, trace: "Trace", merged_dests: bool):
         self.merged_dests = merged_dests
         n = len(trace)
-        d_srcs = trace.srcs
-        d_dests = trace.dests
-        d_sdests = trace.static_dests
-        d_pred = trace.is_predicated
+        reads, writes = trace.srcs, trace.dests
+        if merged_dests:
+            sdests = trace.static_dests
+            pred = trace.is_predicated
+            reads = [r + s if p else r for r, s, p in zip(reads, sdests, pred)]
+            writes = [s if p else w for w, s, p in zip(writes, sdests, pred)]
 
+        # One rename walk.  ``readers[reg]`` collects, in seq order, the
+        # consumers that reached ``last_writer[reg]`` through ``reg``;
+        # when ``reg`` is overwritten (or the trace ends) they become
+        # that writer's consumer row.  A writer of several registers
+        # merges its chunks in seq order.
         last_writer = [-1] * NUM_REGS
-        prod_off = [0] * (n + 1)
-        prod_seq: List[int] = []
-        append = prod_seq.append
-        for seq in range(n):
-            base = len(prod_seq)
-            for src in d_srcs[seq]:
+        readers: List[List[int]] = [[] for _ in range(NUM_REGS)]
+        prods: List[Tuple[int, ...]] = []
+        add_row = prods.append
+        cons: List[Tuple[int, ...]] = [()] * n
+
+        def close(reg: int) -> None:
+            p = last_writer[reg]
+            chunk = readers[reg]
+            rows = tuple(chunk)
+            cons[p] = tuple(sorted(cons[p] + rows)) if cons[p] else rows
+            chunk.clear()
+
+        for seq, srcs, dests in zip(count(), reads, writes):
+            row: Tuple[int, ...] = ()
+            for src in srcs:
                 p = last_writer[src]
-                if p >= 0:
-                    k = base
-                    top = len(prod_seq)
-                    while k < top and prod_seq[k] != p:
-                        k += 1
-                    if k == top:
-                        append(p)
-            if merged_dests and d_pred[seq]:
-                dest_iter = d_sdests[seq]
-                for dest in dest_iter:
-                    p = last_writer[dest]
-                    if p >= 0:
-                        k = base
-                        top = len(prod_seq)
-                        while k < top and prod_seq[k] != p:
-                            k += 1
-                        if k == top:
-                            append(p)
-            else:
-                dest_iter = d_dests[seq]
-            for dest in dest_iter:
+                if p >= 0 and p not in row:
+                    row += (p,)
+                    readers[src].append(seq)
+            add_row(row)
+            for dest in dests:
+                if readers[dest]:
+                    close(dest)
                 last_writer[dest] = seq
-            prod_off[seq + 1] = len(prod_seq)
-        self.prod_off = prod_off
-        self.prod_seq = prod_seq
-
-        # Transpose to consumer lists (counting sort keeps seq order).
-        counts = [0] * (n + 1)
-        for p in prod_seq:
-            counts[p + 1] += 1
-        for i in range(1, n + 1):
-            counts[i] += counts[i - 1]
-        cons_off = list(counts)
-        cons_seq = [0] * len(prod_seq)
-        cursor = list(counts)
-        for seq in range(n):
-            for k in range(prod_off[seq], prod_off[seq + 1]):
-                p = prod_seq[k]
-                cons_seq[cursor[p]] = seq
-                cursor[p] += 1
-        self.cons_off = cons_off
-        self.cons_seq = cons_seq
-        self._prod_tuples = None
-        self._cons_tuples = None
-
-    def prod_tuples(self) -> List[Tuple[int, ...]]:
-        """Per-seq producer tuples (CSR rows materialized, cached)."""
-        tuples = self._prod_tuples
-        if tuples is None:
-            off = self.prod_off
-            seqs = self.prod_seq
-            tuples = [tuple(seqs[off[i]:off[i + 1]])
-                      for i in range(len(off) - 1)]
-            self._prod_tuples = tuples
-        return tuples
-
-    def cons_tuples(self) -> List[Tuple[int, ...]]:
-        """Per-seq consumer tuples (CSR rows materialized, cached)."""
-        tuples = self._cons_tuples
-        if tuples is None:
-            off = self.cons_off
-            seqs = self.cons_seq
-            tuples = [tuple(seqs[off[i]:off[i + 1]])
-                      for i in range(len(off) - 1)]
-            self._cons_tuples = tuples
-        return tuples
-
-    def producers(self, seq: int) -> Tuple[int, ...]:
-        """The producer seqs of ``seq`` (convenience, not hot-path)."""
-        return tuple(self.prod_seq[self.prod_off[seq]:
-                                   self.prod_off[seq + 1]])
+        for reg in range(NUM_REGS):
+            if readers[reg]:
+                close(reg)
+        self.prods = prods
+        self.cons = cons
+        self.issue_kind = bytes(
+            (1 if mem else 0) | (2 if branch else 0) | (4 if row else 0)
+            for mem, branch, row in zip(trace.mem_exec, trace.is_branch,
+                                        cons))
 
 
 def dependences(trace: "Trace",
@@ -199,33 +161,3 @@ def fetch_runs(trace: "Trace", inst_bytes: int,
                 runs[i] = runs[i + 1]
         return runs
     return _memo(trace, ("fetch_runs", inst_bytes, line_size), build)
-
-
-def issue_kind(trace: "Trace", merged_dests: bool = False) -> bytes:
-    """Packed per-seq issue-path flags for the OOO kernel.
-
-    Bit 0: memory-executing, bit 1: branch, bit 2: has static consumers
-    under the given rename discipline.  One subscript in the issue tail
-    replaces three flag-column probes (and the common
-    plain-ALU-with-consumers shape tests as a single byte).
-    """
-    def build() -> bytes:
-        d_mem = trace.mem_exec
-        d_branch = trace.is_branch
-        off = dependences(trace, merged_dests).cons_off
-        return bytes((1 if d_mem[s] else 0)
-                     | (2 if d_branch[s] else 0)
-                     | (4 if off[s] != off[s + 1] else 0)
-                     for s in range(len(trace)))
-    return _memo(trace, ("issue_kind", merged_dests), build)
-
-
-def event_pairs(trace: "Trace") -> List[Tuple[int, int]]:
-    """Generation-zero ``(seq, gen)`` wheel entries, one per seq.
-
-    The OOO kernel copies this list and re-points an entry only when a
-    squash bumps that seq's generation, so the hot event push appends a
-    prebuilt pair instead of building a tuple.
-    """
-    return _memo(trace, ("event_pairs",),
-                 lambda: [(s, 0) for s in range(len(trace))])

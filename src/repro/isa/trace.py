@@ -12,8 +12,8 @@ themselves (see :mod:`repro.multipass.core`).
 A :class:`Trace` is one set of flat parallel columns indexed by dynamic
 sequence number:
 
-* the **dynamic** columns (:data:`DYNAMIC_COLUMNS`), appended by the
-  executor as it runs;
+* the **dynamic** columns (:data:`DYNAMIC_COLUMNS`), written by the
+  executor;
 * the **static** columns (:data:`STATIC_COLUMNS`), expanded once per
   trace from per-``(pc, executed)`` tables, so the inner loops of the
   cores are plain list indexing with no per-entry objects or spec
@@ -33,7 +33,7 @@ from .instruction import Instruction
 from .opcodes import FUClass, Opcode
 from .program import Program
 
-#: The columns the functional executor writes, in its append order.
+#: The columns the functional executor writes, in this order.
 DYNAMIC_COLUMNS = ("inst", "srcs", "dests", "addr", "value", "taken",
                    "executed")
 
@@ -170,8 +170,14 @@ class Trace:
     def __init__(self, program: Program, columns: Sequence[list],
                  final_registers: Dict[int, object],
                  final_memory: Dict[int, object],
-                 truncated: bool = False):
-        """``columns`` holds the :data:`DYNAMIC_COLUMNS`, in that order."""
+                 truncated: bool = False,
+                 keys: Optional[List[int]] = None):
+        """``columns`` holds the :data:`DYNAMIC_COLUMNS`, in that order.
+
+        ``keys`` is the per-seq row key ``pc * 2 + executed`` when the
+        caller already has it (the executor does); otherwise it is
+        computed from the ``inst`` and ``executed`` columns.
+        """
         self.program = program
         (self.inst, self.srcs, self.dests, self.addr, self.value,
          self.taken, self.executed) = columns
@@ -184,13 +190,14 @@ class Trace:
         table = [_static_row(inst, executed)
                  for inst in program.instructions
                  for executed in (False, True)]
-        keys = [inst.index * 2 + executed
-                for inst, executed in zip(self.inst, self.executed)]
+        if keys is None:
+            keys = [inst.index * 2 + executed
+                    for inst, executed in zip(self.inst, self.executed)]
         (self.fu, self.issue_fu, self.latency, self.pc, self.stop,
          self.is_load, self.is_store, self.is_branch, self.is_restart,
          self.mem_exec, self.is_predicated, self.static_dests,
          self.port_code, self.queue_code, self.multipass_kind) = [
-            list(map(column.__getitem__, keys)) for column in zip(*table)]
+            [column[key] for key in keys] for column in zip(*table)]
 
     @property
     def entries(self) -> List[TraceEntry]:

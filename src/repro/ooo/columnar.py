@@ -105,8 +105,9 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
+from itertools import repeat
 
-from ..isa.columns import dependences, event_pairs, fetch_runs, issue_kind
+from ..isa.columns import dependences, fetch_runs
 from ..isa.registers import NUM_REGS
 from ..pipeline.eventq import WHEEL, EventCalendar
 from ..pipeline.stats import SimStats, StallCategory
@@ -129,15 +130,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     n = len(trace)
     merge_dests = not core.ideal
     graph = dependences(trace, merge_dests)
-    cons_lists = graph.cons_tuples()
-    sprods = graph.prod_tuples()
+    cons_lists = graph.cons
+    sprods = graph.prods
     port_code = trace.port_code
     queue_code = trace.queue_code
     # Packed issue-path flags (bit0 mem, bit1 branch, bit2 consumers)
-    # and prebuilt gen-0 wheel pairs; the pair list is copied because a
-    # squash re-points the squashed seqs' entries at their new gen.
-    kind = issue_kind(trace, merge_dests)
-    ev_pair = list(event_pairs(trace))
+    # and prebuilt gen-0 wheel pairs, built per run because a squash
+    # re-points the squashed seqs' entries at their new gen.
+    kind = graph.issue_kind
+    ev_pair = list(zip(range(n), repeat(0)))
 
     d_srcs = trace.srcs
     d_dests = trace.dests

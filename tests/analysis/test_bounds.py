@@ -1,10 +1,16 @@
 """The static cycle lower bound and slack/ineffectuality report
 (`repro.analysis.bounds`)."""
 
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.analysis.bounds import cycle_lower_bound, slack_report
-from repro.harness import MODEL_FACTORIES, run_model
+from repro.harness import MODEL_FACTORIES, TraceCache, run_model
 from repro.isa import P, ProgramBuilder, R, execute
 from repro.resources import PortModel
+from repro.workloads import ALL_WORKLOADS
 
 
 def chain_trace(depth=10):
@@ -36,6 +42,21 @@ def test_dependence_chain_sets_dep_height():
     assert bound.dep_height == depth + 1
     assert bound.binding == "dep_height"
     assert bound.bound == depth + 1
+
+
+def test_hardwired_destinations_publish_nothing():
+    """r0 and p0 read as constants, so a write to them delays no reader:
+    the first add starts at 0 although the multiply into r0 ends at
+    cycle 5, and the last entry starts at 1, after the first add."""
+    b = ProgramBuilder("hardwired")
+    b.movi(R(1), 3)
+    b.mul(R(0), R(1), R(1))
+    b.cmplt(P(0), R(1), R(1))
+    b.add(R(2), R(0), R(0))
+    b.add(R(3), R(2), R(0), pred=P(0))
+    b.halt()
+    bound = cycle_lower_bound(execute(b.build()))
+    assert bound.dep_height == 2
 
 
 def test_independent_work_sets_width_bound():
@@ -152,3 +173,21 @@ def test_report_shapes_and_render():
     text = report.render(limit=2)
     assert "dependence-height bound" in text
     assert "more static" in text        # 5 static pcs, limit 2
+
+
+# -- pinned bounds of the real workloads ------------------------------------
+
+_PINNED = json.loads(
+    (Path(__file__).resolve().parents[1] / "golden"
+     / "cycle_bounds.json").read_text())
+_TRACES = TraceCache(0.1)
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_workload_bounds_pinned(workload):
+    """``tests/golden/cycle_bounds.json`` holds every component of the
+    bound for each workload at scale 0.1, recorded from the dict-based
+    readiness walk and per-entry port classification that the column
+    walk replaced."""
+    bound = cycle_lower_bound(_TRACES.trace(workload))
+    assert bound.to_dict() == _PINNED[workload]

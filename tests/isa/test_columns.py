@@ -4,15 +4,17 @@ The static dependence graph in ``repro.isa.columns`` claims to be
 *exactly* the producer sets a timing core's dispatch stage would compute
 by walking a rename table over the trace in seq order.  This suite
 re-derives those sets with a straightforward dict-based reference walk
-(for both rename disciplines) and asserts the CSR arrays agree entry by
-entry, on a real workload trace that exercises predication, nullified
-slots, loads, stores and branches.  The issue-resource columns are
-pinned against the per-FU code tables.
+(for both rename disciplines) and asserts the producer rows agree seq by
+seq and the consumer rows are their exact ascending transpose, on a real
+workload trace that exercises predication, nullified slots, loads,
+stores and branches.  The issue-resource columns are pinned against the
+per-FU code tables.
 """
 
 import pytest
 
 from repro.harness.experiment import TraceCache
+from repro.isa import Instruction, Opcode, P, ProgramBuilder, R, execute
 from repro.isa.columns import dependences, fetch_lines, fetch_runs
 from repro.isa.opcodes import FUClass
 from repro.isa.trace import PORT_CODE, QUEUE_CODE
@@ -51,18 +53,16 @@ def _reference_producers(trace, merged_dests):
 def test_static_producers_match_rename_walk(trace, merged_dests):
     graph = dependences(trace, merged_dests)
     reference = _reference_producers(trace, merged_dests)
-    assert graph.prod_off[0] == 0
-    assert graph.prod_off[len(trace)] == len(graph.prod_seq)
+    assert len(graph.prods) == len(trace)
     for seq in range(len(trace)):
-        assert graph.producers(seq) == reference[seq], seq
+        assert graph.prods[seq] == reference[seq], seq
 
 
 def test_merged_variant_differs_on_predicated_code(trace):
     """vpr predicates enough code that the two disciplines disagree."""
     ideal = dependences(trace, False)
     merged = dependences(trace, True)
-    assert any(ideal.producers(seq) != merged.producers(seq)
-               for seq in range(len(trace)))
+    assert ideal.prods != merged.prods
 
 
 @pytest.mark.parametrize("merged_dests", [False, True])
@@ -70,15 +70,50 @@ def test_consumer_lists_are_exact_transpose(trace, merged_dests):
     graph = dependences(trace, merged_dests)
     pairs = {(p, seq)
              for seq in range(len(trace))
-             for p in graph.producers(seq)}
+             for p in graph.prods[seq]}
+    assert len(graph.cons) == len(trace)
     transposed = set()
-    for p in range(len(trace)):
-        lo, hi = graph.cons_off[p], graph.cons_off[p + 1]
-        consumers = graph.cons_seq[lo:hi]
-        assert consumers == sorted(consumers), p
+    for p, consumers in enumerate(graph.cons):
+        assert list(consumers) == sorted(set(consumers)), p
         for seq in consumers:
             transposed.add((p, seq))
     assert transposed == pairs
+    assert sum(map(len, graph.cons)) == len(pairs)
+
+
+def test_multi_destination_writer():
+    """A writer of two registers is one producer: a reader of both lists
+    it once, and its consumer row merges both registers' readers in seq
+    order (no workload emits such an instruction; the graph must still
+    be exact)."""
+    b = ProgramBuilder("multi")
+    b.movi(R(3), 1)
+    b.movi(P(1), 1)
+    b.emit(Instruction(Opcode.ADD, (R(1), R(2)), (R(3), R(3))))
+    b.add(R(4), R(2), R(9))
+    b.add(R(5), R(1), R(2))
+    b.movi(R(1), 7)
+    b.addi(R(6), R(2), 1, pred=P(1))
+    b.halt()
+    trace = execute(b.build())
+    for merged_dests in (False, True):
+        graph = dependences(trace, merged_dests)
+        assert graph.prods == _reference_producers(trace, merged_dests)
+        assert graph.cons[2] == (3, 4, 6)
+        assert graph.cons == [
+            tuple(seq for seq in range(len(trace))
+                  if p in graph.prods[seq])
+            for p in range(len(trace))]
+
+
+@pytest.mark.parametrize("merged_dests", [False, True])
+def test_issue_kind_flags(trace, merged_dests):
+    graph = dependences(trace, merged_dests)
+    assert len(graph.issue_kind) == len(trace)
+    for seq, kind in enumerate(graph.issue_kind):
+        assert kind == ((1 if trace.mem_exec[seq] else 0)
+                        | (2 if trace.is_branch[seq] else 0)
+                        | (4 if graph.cons[seq] else 0)), seq
 
 
 def test_issue_resource_columns(trace):

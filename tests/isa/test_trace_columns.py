@@ -1,13 +1,17 @@
-"""Pin the trace columns to an independent re-execution.
+"""Pin the trace columns to a single-stepped re-execution.
 
 A :class:`~repro.isa.trace.Trace` is flat per-seq columns: the dynamic
-ones the executor appends while it runs and the static ones expanded
+ones the executor writes and the static ones expanded
 from per-``(pc, executed)`` tables.  Every column of every seq must
 agree with a fresh :class:`~repro.isa.functional.FunctionalSimulator`
 single-stepping the same program — including nullification semantics
 (``is_load``/``is_store``/``issue_fu`` follow ``executed``,
 ``is_branch`` does not).  Two real workloads between them exercise
 predication, nullified slots, restarts, loads, stores and branches.
+``run()`` and ``step()`` drive the same compiled step closures, so this
+pins the column expansion and the single-step interface; the execution
+semantics themselves are checked against the interpretive reference in
+``test_reference_executor.py``.
 """
 
 import pytest
