@@ -89,8 +89,13 @@ smoke_cache="$(mktemp -d)"
 # every cell from disk.
 python -m repro sweep --smoke --results-cache "$smoke_cache" \
     || failures=$((failures + 1))
-python -m repro sweep --smoke --results-cache "$smoke_cache" \
+warm_sweep="$(python -m repro sweep --smoke --results-cache "$smoke_cache")" \
     || failures=$((failures + 1))
+echo "$warm_sweep"
+if ! grep -qF -- "— 0 simulated, 4 from cache," <<<"$warm_sweep"; then
+    echo "warm sweep did not serve all 4 cells from the cache"
+    failures=$((failures + 1))
+fi
 rm -rf "$smoke_cache"
 
 step "repro serve / submit (sweep service end-to-end)"

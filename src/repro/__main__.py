@@ -353,18 +353,16 @@ def _cmd_submit(args) -> int:
         return 1
 
     if args.json:
+        # The stream opens with the job event and closes with the done
+        # event, whose accounting counts a failed cell as simulated.
+        job, done = events[0], events[-1]
         doc = {
-            "job": report.job_id,
-            "key": report.job_key,
+            "job": job["id"],
+            "key": job["key"],
             "events": events,
-            "report": {
-                "cells": report.cells,
-                "simulated": report.simulated,
-                "cache_hits": report.cache_hits,
-                "deduped": report.deduped,
-                "failures": len(report.failures),
-                "elapsed": report.elapsed,
-            },
+            "report": {name: done[name] for name in (
+                "cells", "simulated", "cache_hits", "deduped",
+                "failures", "elapsed")},
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

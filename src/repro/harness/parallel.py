@@ -1,4 +1,4 @@
-"""Sharded parallel experiment engine with fault handling.
+"""The experiment engine: one route from a cell grid to its results.
 
 The (model, workload, config) cell grid of a sweep is embarrassingly
 parallel: every cell replays its own functionally-executed trace, and
@@ -7,25 +7,30 @@ pool must produce *bit-identical* stats to a serial
 :func:`~repro.harness.experiment.run_matrix` — the equivalence tests in
 ``tests/harness/test_parallel_matrix.py`` enforce exactly that.
 
-Cells are dispatched to a ``concurrent.futures`` process pool *grouped
-by workload cell* — every model of a (workload, scale, options) triple
-lands on the same worker as one batch, so the group shares a single
-trace build (functional execution and column expansion) via the
-worker's process-global :class:`~repro.harness.experiment.TraceCache`
-instead of each worker re-deriving it.  Fault handling is two-layered:
+Both :func:`sweep` and the sweep service
+(:class:`~repro.service.jobs.SweepService`) run cells through this
+module, and each of its decisions is made here only:
 
-* **In-worker timeout** — every cell runs under a ``SIGALRM`` interval
-  timer (the simulators are pure Python, so the signal interrupts even
-  a wedged loop); expiry surfaces as a failure row, not a hang.
-* **Retry once, then record** — a failed cell (exception, timeout, or a
-  worker process death) is retried on a fresh round; a second failure
-  becomes a :class:`CellResult` failure row in the report so one bad
-  cell degrades a sweep instead of crashing it.
+* **Grouping** — :func:`group_cells` splits a grid by workload cell
+  (same workload, scale, compile options and budget); every model of a
+  group runs back-to-back on one worker, sharing one trace build via
+  the worker's process-global
+  :class:`~repro.harness.experiment.TraceCache`.
+* **Cache and retry** — :func:`resolve_cells` takes one group through
+  result-cache reads, one attempt on the :class:`Fleet`, a retry of
+  each failed cell *alone* in a one-shot single-worker process (so a
+  cell that kills its worker fails only itself), and cache writes.
+  Every cell runs under a ``SIGALRM`` interval timer inside its worker
+  (the simulators are pure Python, so the signal interrupts even a
+  wedged loop); a cell that still fails becomes a :class:`CellResult`
+  failure row, so one bad cell degrades a sweep instead of crashing it.
+* **Pool ownership** — :class:`Fleet` builds the fork-context process
+  pool on first use and replaces it once a worker has died.
 
-When a :class:`~repro.harness.results_cache.ResultsCache` is supplied,
-cells whose key is already on disk are served without simulation and
-fresh results are persisted, so a warm second sweep performs zero
-simulations.
+:func:`resolve_cells` is a generator that yields each
+``concurrent.futures.Future`` it waits on, so :func:`sweep` drives many
+groups with :func:`concurrent.futures.wait` and the service awaits the
+same futures on its event loop with :func:`asyncio.wrap_future`.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, process
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import multiprocessing
 
@@ -52,6 +60,9 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Matches :class:`TraceCache`'s functional-execution budget.
 DEFAULT_MAX_INSTRUCTIONS = 5_000_000
+
+#: Extra attempts a failed cell gets before it becomes a failure row.
+RETRIES = 1
 
 
 def resolve_jobs(value: Union[None, int, str] = None) -> int:
@@ -102,7 +113,10 @@ class CellResult:
     error: Optional[str] = None
     attempts: int = 1
     duration: float = 0.0
-    cached: bool = False
+    #: Where the stats came from: ``"simulated"`` or ``"cache"``.
+    source: str = "simulated"
+    #: Served by another service job's in-flight resolution of the cell.
+    deduped: bool = False
     #: Aggregated telemetry summary (when the cell's spec asked for one).
     telemetry: Optional[dict] = None
 
@@ -125,8 +139,8 @@ class SweepError(RuntimeError):
 _WORKER_TRACES: Dict[Tuple[float, str, int], TraceCache] = {}
 
 #: Per-process trace-build log, keyed by (workload, scale): how many
-#: times this process functionally executed that workload.  The grouped
-#: dispatch in :func:`_run_round` keeps this at one per key — every
+#: times this process functionally executed that workload.  Grouped
+#: dispatch (:func:`group_cells`) keeps this at one per key — every
 #: model of a workload lands on the same worker — which the
 #: trace-amortization tests pin.
 _TRACE_BUILDS: Dict[Tuple[str, float], int] = {}
@@ -226,6 +240,14 @@ def _group_key(spec: CellSpec) -> Tuple[str, float, str, int]:
             spec.max_instructions)
 
 
+def group_cells(specs: Sequence[CellSpec]) -> List[List[CellSpec]]:
+    """Split cells into workload groups, in first-appearance order."""
+    groups: Dict[Tuple[str, float, str, int], List[CellSpec]] = {}
+    for spec in specs:
+        groups.setdefault(_group_key(spec), []).append(spec)
+    return list(groups.values())
+
+
 def _execute_group(specs: Sequence[CellSpec],
                    runner: Callable[[CellSpec], SimStats],
                    timeout: Optional[float]) -> List[CellResult]:
@@ -238,90 +260,177 @@ def _execute_group(specs: Sequence[CellSpec],
     return [_execute_cell(spec, runner, timeout) for spec in specs]
 
 
-def _run_round(specs: Sequence[CellSpec], jobs: int,
-               runner: Callable[[CellSpec], SimStats],
-               timeout: Optional[float]) -> List[CellResult]:
-    """Execute one batch of cells, one result per spec, in spec order.
+class Fleet:
+    """The worker pool: built on first use, replaced once a worker dies.
 
-    Cells are dispatched to the pool *grouped by workload cell* (same
-    workload, scale, compile options and budget), so every model of a
-    workload runs on the same worker and shares one trace build
-    instead of each worker re-deriving them.
+    :func:`sweep` holds one for the length of a call; the service holds
+    one for its lifetime, so workers keep their process-global trace
+    caches warm between jobs.
     """
-    if jobs <= 1 or len(specs) <= 1:
-        return [_execute_cell(spec, runner, timeout) for spec in specs]
-    groups: Dict[Tuple[str, float, str, int], List[int]] = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(_group_key(spec), []).append(index)
-    results: List[Optional[CellResult]] = [None] * len(specs)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(groups)),
-                             mp_context=_pool_context()) as pool:
-        futures = [
-            (indices, pool.submit(_execute_group,
-                                  [specs[i] for i in indices],
-                                  runner, timeout))
-            for indices in groups.values()
-        ]
-        for indices, future in futures:
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def submit(self, specs: Sequence[CellSpec],
+               runner: Callable[[CellSpec], SimStats],
+               timeout: Optional[float]) -> Future:
+        """Run a group on one worker; the future holds its rows."""
+        if self._pool is not None:
             try:
-                group_results = future.result()
-            except process.BrokenProcessPool:
-                group_results = [
-                    CellResult(specs[i].workload, specs[i].model,
-                               error="worker process died (broken pool)")
-                    for i in indices
-                ]
-            except Exception as exc:  # pragma: no cover - defensive
-                group_results = [
-                    CellResult(specs[i].workload, specs[i].model,
-                               error=f"{type(exc).__name__}: {exc}")
-                    for i in indices
-                ]
-            for i, result in zip(indices, group_results):
-                results[i] = result
-    return results
+                return self._pool.submit(_execute_group, specs, runner,
+                                         timeout)
+            except BrokenProcessPool:
+                # A worker died since the last submit: the pool refuses
+                # work from then on, so drop it for a fresh one.
+                self.shutdown(wait=False)
+        self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                         mp_context=_pool_context())
+        return self._pool.submit(_execute_group, specs, runner, timeout)
+
+    def shutdown(self, wait: bool = True) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=True)
+            self._pool = None
+
+
+def _outcome(future: Future,
+             specs: Sequence[CellSpec]) -> List[CellResult]:
+    """The rows of a finished attempt; a dead worker fails all of them."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        error = "worker process died (broken pool)"
+    except Exception as exc:  # pragma: no cover - e.g. unpicklable runner
+        error = f"{type(exc).__name__}: {exc}"
+    return [CellResult(spec.workload, spec.model, error=error)
+            for spec in specs]
+
+
+def resolve_cells(specs: Sequence[CellSpec], keys: Sequence[str],
+                  store: Optional[ResultsCache], fleet: Optional[Fleet],
+                  runner: Callable[[CellSpec], SimStats],
+                  timeout: Optional[float]
+                  ) -> Generator[Future, None, List[CellResult]]:
+    """Resolve one workload group: cache, attempt, retry, store.
+
+    ``keys`` are the cells' result-cache keys (ignored without a
+    ``store``).  Cells asking for telemetry or an audit need a live
+    run, so they skip cache reads; fresh stats are stored either way.
+    The group's uncached cells run as one batch on ``fleet``, or in
+    this process when ``fleet`` is None; each cell that fails is then
+    retried alone, on the pooled path in a one-shot single-worker
+    process, so a cell that kills its worker fails only itself.
+
+    A generator: it yields each future it waits on and returns the
+    group's rows in spec order.
+    """
+    rows: List[Optional[CellResult]] = [None] * len(specs)
+    if store is not None:
+        for index, spec in enumerate(specs):
+            if spec.telemetry or spec.audit:
+                continue
+            stats = store.get(keys[index])
+            if stats is not None:
+                rows[index] = CellResult(spec.workload, spec.model,
+                                         stats=stats, source="cache")
+    todo = [index for index, row in enumerate(rows) if row is None]
+    if not todo:
+        return rows
+    batch = [specs[index] for index in todo]
+    if fleet is None:
+        done = _execute_group(batch, runner, timeout)
+    else:
+        future = fleet.submit(batch, runner, timeout)
+        yield future
+        done = _outcome(future, batch)
+    for index, row in zip(todo, done):
+        spec = specs[index]
+        for attempt in range(2, RETRIES + 2):
+            if row.ok:
+                break
+            if fleet is None:
+                row = _execute_cell(spec, runner, timeout)
+            else:
+                alone = Fleet(1)
+                future = alone.submit([spec], runner, timeout)
+                yield future
+                alone.shutdown()
+                [row] = _outcome(future, [spec])
+            row.attempts = attempt
+        if row.ok and store is not None:
+            store.put(keys[index], row.stats)
+        rows[index] = row
+    return rows
 
 
 @dataclass
 class SweepReport:
-    """A completed sweep: the matrix plus operability accounting."""
+    """A completed sweep: the matrix plus operability accounting.
+
+    ``simulated`` and ``cache_hits`` count the cells that succeeded by
+    each route; ``deduped`` counts the cells a service job took from
+    another job's in-flight resolution, failed or not.  Failed cells
+    are listed in ``failures`` and absent from ``matrix``.
+    """
 
     matrix: Matrix
     failures: List[CellResult] = field(default_factory=list)
     cells: int = 0
     simulated: int = 0
     cache_hits: int = 0
+    deduped: int = 0
     cache_stores: int = 0
     jobs: int = 1
     elapsed: float = 0.0
+    #: The service job this report follows; empty for a local sweep.
+    job_id: str = ""
     #: (workload, model) -> aggregated telemetry summary dict, for the
     #: cells that were simulated with ``telemetry=True``.  Cells served
     #: from the result cache carry no summary (stats only are cached).
     telemetry: Dict[Tuple[str, str], dict] = field(default_factory=dict)
 
+    def add(self, result: CellResult) -> None:
+        """Fold one resolved cell into the matrix and the counters."""
+        cell = (result.workload, result.model)
+        if result.ok:
+            self.matrix.results[cell] = result.stats
+            if result.telemetry is not None:
+                self.telemetry[cell] = result.telemetry
+        else:
+            self.failures.append(result)
+        if result.deduped:
+            self.deduped += 1
+        elif result.source == "cache":
+            self.cache_hits += 1
+        elif result.ok:
+            self.simulated += 1
+
+    @property
+    def resolved(self) -> int:
+        """Cells with a row so far, succeeded or failed."""
+        return len(self.matrix.results) + len(self.failures)
+
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def failure_lines(self) -> List[str]:
-        """One rendered row per failed cell (exception class, cell id,
-        retry count) — shared with the service client's report."""
-        return [
-            f"  FAILED {failure.workload}/{failure.model} after "
-            f"{failure.attempts} attempt(s): {failure.error}"
-            for failure in self.failures
-        ]
-
     def summary(self) -> str:
         rate = (f", {self.cells / self.elapsed:.1f} cells/s"
                 if self.elapsed > 0 else "")
+        label = f"job {self.job_id}" if self.job_id else "sweep"
+        deduped = f"{self.deduped} deduped, " if self.deduped else ""
         lines = [
-            f"sweep: {self.cells} cell(s) with {self.jobs} job(s) in "
+            f"{label}: {self.cells} cell(s) on {self.jobs} worker(s) in "
             f"{self.elapsed:.1f}s total wall time{rate} — "
             f"{self.simulated} simulated, "
-            f"{self.cache_hits} from cache, {len(self.failures)} failed"
+            f"{self.cache_hits} from cache, {deduped}"
+            f"{len(self.failures)} failed"
         ]
-        lines.extend(self.failure_lines())
+        lines.extend(
+            f"  FAILED {failure.workload}/{failure.model} after "
+            f"{failure.attempts} attempt(s): {failure.error}"
+            for failure in self.failures)
         return "\n".join(lines)
 
     def raise_on_failure(self) -> None:
@@ -339,14 +448,13 @@ def sweep(models: Sequence[str],
           jobs: Union[None, int, str] = None,
           results_cache: Union[None, str, ResultsCache] = None,
           timeout: Optional[float] = None,
-          retries: int = 1,
           runner: Optional[Callable[[CellSpec], SimStats]] = None,
           telemetry: bool = False,
           audit: bool = False
           ) -> SweepReport:
     """Run the full cell grid; always returns a report, never hangs.
 
-    Failed cells (after ``retries`` extra attempts each) appear in
+    Failed cells (after :data:`RETRIES` extra attempts each) appear in
     ``report.failures`` and are absent from ``report.matrix``.
 
     ``telemetry=True`` traces every simulated cell into an aggregating
@@ -371,57 +479,48 @@ def sweep(models: Sequence[str],
     specs = [CellSpec(workload, model, scale, compile_options, config,
                       max_instructions, telemetry=telemetry, audit=audit)
              for workload in workloads for model in models]
-    matrix = Matrix(scale=scale)
-    report = SweepReport(matrix=matrix, cells=len(specs), jobs=jobs)
+    report = SweepReport(matrix=Matrix(scale=scale), cells=len(specs),
+                         jobs=jobs)
+    groups = group_cells(specs)
+    fleet = Fleet(min(jobs, len(groups))) if jobs > 1 else None
+    rows: Dict[Tuple[str, str], CellResult] = {}
+    running: Dict[Future, Generator] = {}
 
-    keys: Dict[Tuple[str, str], str] = {}
-    outstanding: List[CellSpec] = []
+    def advance(steps: Generator) -> None:
+        try:
+            running[next(steps)] = steps
+        except StopIteration as finished:
+            for row in finished.value:
+                rows[(row.workload, row.model)] = row
+
+    try:
+        for group in groups:
+            keys = [store.key_for(spec.workload, spec.model, spec.scale,
+                                  spec.compile_options, spec.config,
+                                  spec.max_instructions)
+                    for spec in group] if store is not None else []
+            advance(resolve_cells(group, keys, store, fleet, runner,
+                                  timeout))
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                advance(running.pop(future))
+    finally:
+        if fleet is not None:
+            fleet.shutdown()
+
+    # Fold in grid order, whatever order the groups finished in.
     for spec in specs:
-        cell = (spec.workload, spec.model)
-        if store is not None:
-            keys[cell] = store.key_for(spec.workload, spec.model,
-                                       spec.scale, spec.compile_options,
-                                       spec.config, spec.max_instructions)
-            if not telemetry and not audit:
-                stats = store.get(keys[cell])
-                if stats is not None:
-                    matrix.results[cell] = stats
-                    report.cache_hits += 1
-                    continue
-        outstanding.append(spec)
-
-    results: Dict[Tuple[str, str], CellResult] = {}
-    for attempt in range(1, retries + 2):
-        if not outstanding:
-            break
-        failed: List[CellSpec] = []
-        for spec, result in zip(outstanding,
-                                _run_round(outstanding, jobs, runner,
-                                           timeout)):
-            result.attempts = attempt
-            results[(spec.workload, spec.model)] = result
-            if not result.ok:
-                failed.append(spec)
-        outstanding = failed if attempt <= retries else []
-
-    for cell, result in results.items():
-        if result.ok:
-            matrix.results[cell] = result.stats
-            report.simulated += 1
-            if result.telemetry is not None:
-                report.telemetry[cell] = result.telemetry
-            if store is not None:
-                store.put(keys[cell], result.stats)
-                report.cache_stores += 1
-        else:
-            report.failures.append(result)
-
+        report.add(rows[(spec.workload, spec.model)])
+    if store is not None:
+        report.cache_stores = report.simulated
     report.elapsed = time.perf_counter() - start
     return report
 
 
 __all__ = [
     "CellResult", "CellSpec", "CellTimeout", "DEFAULT_MAX_INSTRUCTIONS",
-    "JOBS_ENV_VAR", "SweepError", "SweepReport", "resolve_jobs",
-    "simulate_cell", "sweep",
+    "Fleet", "JOBS_ENV_VAR", "RETRIES", "SweepError", "SweepReport",
+    "group_cells", "resolve_cells", "resolve_jobs", "simulate_cell",
+    "sweep",
 ]

@@ -10,13 +10,13 @@ responses.  ``repro serve`` runs it; ``repro submit`` (built on
 bit-identical to a local ``repro sweep``.
 
 Layering: :mod:`spec` (the job language and its canonicalization),
-:mod:`protocol` (wire events), :mod:`jobs` (the HTTP-free engine:
-dedup + fleet + cache), :mod:`server` (asyncio HTTP framing),
-:mod:`client` (blocking client library).
+:mod:`protocol` (wire events), :mod:`jobs` (the HTTP-free backend:
+in-flight dedup over the :mod:`repro.harness.parallel` engine),
+:mod:`server` (asyncio HTTP framing), :mod:`client` (blocking client
+library).
 """
 
-from .client import (DEFAULT_PORT, ServiceClient, ServiceError,
-                     ServiceSweepReport)
+from .client import DEFAULT_PORT, ServiceClient, ServiceError
 from .jobs import Job, SweepService
 from .protocol import (WIRE_VERSION, cell_event, cell_result_from_event,
                        decode_line, encode_line)
@@ -25,7 +25,7 @@ from .spec import JobSpec, SpecError
 
 __all__ = [
     "DEFAULT_PORT", "Job", "JobSpec", "ServiceClient", "ServiceError",
-    "ServiceServer", "ServiceSweepReport", "SpecError", "SweepService",
-    "WIRE_VERSION", "cell_event", "cell_result_from_event",
-    "decode_line", "encode_line", "serve_async",
+    "ServiceServer", "SpecError", "SweepService", "WIRE_VERSION",
+    "cell_event", "cell_result_from_event", "decode_line", "encode_line",
+    "serve_async",
 ]

@@ -1,19 +1,19 @@
 """Thin blocking client for the sweep service (stdlib ``http.client``).
 
-The client turns a job-event stream back into the exact shapes the
-batch engine produces: a :class:`~repro.harness.experiment.Matrix` of
-real :class:`~repro.pipeline.stats.SimStats` (reconstructed
-bit-identically via ``SimStats.from_dict``) plus
-:class:`~repro.harness.parallel.CellResult` failure rows — so code
-written against ``repro sweep``'s :class:`SweepReport` consumes
-service results unchanged.  ``repro submit`` is just this library
-plus argument parsing.
+The client folds a job-event stream into the report ``repro sweep``
+returns: each ``cell`` event becomes the
+:class:`~repro.harness.parallel.CellResult` row the service resolved
+(stats reconstructed bit-identically via ``SimStats.from_dict``), and
+:meth:`~repro.harness.parallel.SweepReport.add` files it into the
+matrix, the failure rows and the per-source counters — so code written
+against ``repro sweep``'s :class:`SweepReport` consumes service results
+unchanged.  ``repro submit`` is just this library plus argument
+parsing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from http.client import HTTPConnection
 from typing import Callable, Iterator, Optional
 
@@ -28,34 +28,6 @@ DEFAULT_PORT = 8734
 
 class ServiceError(RuntimeError):
     """The server rejected a request or broke protocol."""
-
-
-@dataclass
-class ServiceSweepReport(SweepReport):
-    """A :class:`SweepReport` assembled from service events.
-
-    ``simulated``/``cache_hits`` keep their batch-engine meaning;
-    ``deduped`` counts cells this job *attached to* — another client's
-    in-flight simulation served this job too — and the three are
-    mutually exclusive per cell.
-    """
-
-    deduped: int = 0
-    job_id: str = ""
-    job_key: str = ""
-
-    def summary(self) -> str:
-        rate = (f", {self.cells / self.elapsed:.1f} cells/s"
-                if self.elapsed > 0 else "")
-        lines = [
-            f"job {self.job_id}: {self.cells} cell(s) via {self.jobs} "
-            f"server worker(s) in {self.elapsed:.1f}s{rate} — "
-            f"{self.simulated} simulated, {self.cache_hits} from "
-            f"cache, {self.deduped} deduped, "
-            f"{len(self.failures)} failed"
-        ]
-        lines.extend(self.failure_lines())
-        return "\n".join(lines)
 
 
 class ServiceClient:
@@ -151,7 +123,7 @@ class ServiceClient:
 
     def run(self, spec: JobSpec,
             on_event: Optional[Callable[[dict], None]] = None
-            ) -> ServiceSweepReport:
+            ) -> SweepReport:
         """Submit a spec and follow it to completion.
 
         The returned report's matrix holds stats bit-identical to a
@@ -159,30 +131,18 @@ class ServiceClient:
         batch engine's schema.
         """
         accepted = self.submit(spec)
-        report = ServiceSweepReport(
+        report = SweepReport(
             matrix=Matrix(scale=spec.scale),
             cells=accepted.get("cells", 0),
             jobs=accepted.get("workers", 0),
-            job_id=accepted.get("id", ""),
-            job_key=accepted.get("key", ""))
+            job_id=accepted.get("id", ""))
         done = False
         for event in self.events(report.job_id):
             if on_event is not None:
                 on_event(event)
             kind = event.get("kind")
             if kind == "cell":
-                row = cell_result_from_event(event)
-                if event.get("dedup"):
-                    report.deduped += 1
-                elif event.get("source") == "cache":
-                    report.cache_hits += 1
-                else:
-                    report.simulated += 1
-                if row.ok:
-                    cell = (row.workload, row.model)
-                    report.matrix.results[cell] = row.stats
-                else:
-                    report.failures.append(row)
+                report.add(cell_result_from_event(event))
             elif kind == "done":
                 report.elapsed = event.get("elapsed", 0.0)
                 done = True
@@ -193,5 +153,4 @@ class ServiceClient:
         return report
 
 
-__all__ = ["DEFAULT_PORT", "ServiceClient", "ServiceError",
-           "ServiceSweepReport"]
+__all__ = ["DEFAULT_PORT", "ServiceClient", "ServiceError"]

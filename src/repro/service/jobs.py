@@ -1,24 +1,27 @@
-"""The sweep backend: persistent fleet, shared cache, in-flight dedup.
+"""The sweep backend: in-flight dedup over the shared experiment engine.
 
 :class:`SweepService` is the HTTP-free heart of the service (the
 asyncio HTTP framing in :mod:`repro.service.server` is a thin shell
-around it, and the tests drive it directly).  It owns three layers of
-work avoidance, checked in order for every requested cell:
+around it, and the tests drive it directly).  Every requested cell is
+first checked against the one thing only the service does:
 
-1. **In-flight dedup** — one future per live cell key; any number of
-   concurrent jobs needing the same cell await the same future, so an
-   identical sweep submitted by N clients simulates each cell exactly
-   once and fans the result out to all N subscribers.
-2. **The shared results cache** — the same content-addressed
-   :class:`~repro.harness.results_cache.ResultsCache` the CLI uses
-   (optionally size-bounded with LRU eviction), so a warm resubmission
-   performs zero simulations and ad-hoc ``repro sweep`` runs interop
-   with the service's store.
-3. **The worker fleet** — one process pool built on the sharded
-   engine's :func:`~repro.harness.parallel._execute_cell` runner
-   (same SIGALRM per-cell timeout, same retry-once-then-record fault
-   discipline), *persistent across jobs* so workers keep their
-   process-global trace caches warm between submissions.
+* **In-flight dedup** — one future per live cell key; any number of
+  concurrent jobs needing the same cell await the same future, so an
+  identical sweep submitted by N clients simulates each cell exactly
+  once and fans the result out to all N subscribers.
+
+The cells no other job is resolving go, grouped by workload cell,
+through the engine of :mod:`repro.harness.parallel` — the same route
+``repro sweep`` takes: the shared results cache (the CLI's
+content-addressed :class:`~repro.harness.results_cache.ResultsCache`,
+optionally size-bounded, so a warm resubmission performs zero
+simulations), one attempt on the worker :class:`~repro.harness.parallel.
+Fleet`, and a retry of each failed cell alone in a one-shot process.
+The service holds its fleet for its lifetime, so workers keep their
+process-global trace caches warm between submissions.  It awaits the
+engine's futures on the event loop without a thread hop; the cache
+reads and writes around them are small local file operations and run
+on the loop too.
 
 Every job keeps an append-only event history; subscribers replay it
 from the start and then follow live, so attaching late (or re-reading
@@ -28,21 +31,33 @@ a finished job) always yields the complete stream.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
 import itertools
-import os
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, process
 from typing import AsyncIterator, Callable, Dict, List, Optional, Union
 
-from ..harness.parallel import (CellResult, CellSpec, _execute_cell,
-                                _execute_group, _pool_context,
-                                resolve_jobs, simulate_cell)
-from ..harness.results_cache import (CACHE_ENV_VAR, ResultsCache,
-                                     parse_size)
+from ..harness.experiment import Matrix
+from ..harness.parallel import (CellResult, CellSpec, Fleet, SweepReport,
+                                group_cells, resolve_cells, resolve_jobs,
+                                simulate_cell)
+from ..harness.results_cache import ResultsCache, resolve_results_cache
 from .protocol import WIRE_VERSION, cell_event
 from .spec import JobSpec
+
+
+async def _drive(steps) -> List[CellResult]:
+    """Run :func:`resolve_cells` on the loop, awaiting each future."""
+    while True:
+        try:
+            future = next(steps)
+        except StopIteration as finished:
+            return finished.value
+        with contextlib.suppress(Exception):
+            # resolve_cells reads the outcome off the future itself.
+            await asyncio.wrap_future(future)
 
 
 class Job:
@@ -54,11 +69,9 @@ class Job:
         self.created = time.time()
         self.events: List[dict] = []
         self.done = False
-        # Per-job accounting (mutually exclusive per cell).
-        self.simulated = 0
-        self.cache_hits = 0
-        self.deduped = 0
-        self.failures = 0
+        self.report = SweepReport(
+            matrix=Matrix(scale=spec.scale),
+            cells=len(spec.workloads) * len(spec.models))
         self._new_event = asyncio.Condition()
         self.task: Optional[asyncio.Task] = None
 
@@ -84,18 +97,25 @@ class Job:
             if finished:
                 return
 
+    def counts(self) -> dict:
+        """Per-job accounting; the first three partition the cells."""
+        report = self.report
+        return {
+            # A failed cell this job scheduled itself counts here too.
+            "simulated": (report.resolved - report.cache_hits
+                          - report.deduped),
+            "cache_hits": report.cache_hits,
+            "deduped": report.deduped,
+            "failures": len(report.failures),
+        }
+
     def status(self) -> dict:
         return {
             "id": self.id,
             "done": self.done,
-            "cells": (len(self.spec.workloads)
-                      * len(self.spec.models)),
-            "resolved": (self.simulated + self.cache_hits
-                         + self.deduped),
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "deduped": self.deduped,
-            "failures": self.failures,
+            "cells": self.report.cells,
+            "resolved": self.report.resolved,
+            **self.counts(),
             "events": len(self.events),
         }
 
@@ -113,26 +133,22 @@ class SweepService:
                  results_cache: Union[None, str, ResultsCache] = None,
                  cache_max_bytes: Union[None, int, str] = None,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
                  runner: Optional[Callable[[CellSpec], object]] = None):
         self.workers = resolve_jobs(jobs)
         self.timeout = timeout
-        self.retries = retries
         self.runner = runner or simulate_cell
         self._ephemeral_root: Optional[str] = None
-        if isinstance(results_cache, ResultsCache):
-            self.store = results_cache
-        else:
-            root = results_cache or os.environ.get(CACHE_ENV_VAR)
-            if root is None:
-                # The service always has a shared store: without a
-                # configured directory it lives (and dies) with the
-                # server process.
-                root = tempfile.mkdtemp(prefix="repro-serve-cache-")
-                self._ephemeral_root = root
-            self.store = ResultsCache(
-                root, max_bytes=parse_size(cache_max_bytes))
-        self._pool: Optional[ProcessPoolExecutor] = None
+        store = resolve_results_cache(results_cache, cache_max_bytes)
+        if store is None:
+            # The service always has a shared store: without a
+            # configured directory it lives (and dies) with the server
+            # process.
+            self._ephemeral_root = tempfile.mkdtemp(
+                prefix="repro-serve-cache-")
+            store = ResultsCache(self._ephemeral_root,
+                                 max_bytes=cache_max_bytes)
+        self.store = store
+        self.fleet = Fleet(self.workers)
         self._inflight: Dict[str, asyncio.Future] = {}
         self._jobs: Dict[str, Job] = {}
         self._ids = itertools.count(1)
@@ -163,176 +179,81 @@ class SweepService:
     async def _run_job(self, job: Job) -> None:
         start = time.perf_counter()
         spec = job.spec
-        cells = spec.cells()
         keys = spec.cell_keys(self.store.tree_digest)
         await job.append({
             "kind": "job",
             "id": job.id,
             "key": spec.job_key(self.store.tree_digest),
-            "cells": len(cells),
+            "cells": job.report.cells,
             "workers": self.workers,
             "wire_version": WIRE_VERSION,
         })
-        # Group the job's cells by workload: one fleet task per group,
-        # so every model of a workload runs on the same worker and
-        # shares one trace build (mirroring the batch engine's
-        # grouped dispatch).
-        groups: Dict[str, List[CellSpec]] = {}
-        for cell in cells:
-            groups.setdefault(cell.workload, []).append(cell)
-        tasks = [
-            asyncio.ensure_future(self._resolve_group(
-                group, keys, spec.timeout))
-            for group in groups.values()
-        ]
+        timeout = spec.timeout if spec.timeout is not None else self.timeout
+        tasks = [asyncio.ensure_future(self._resolve(group, keys, timeout))
+                 for group in group_cells(spec.cells())]
         for future in asyncio.as_completed(tasks):
-            for result, source, dedup in await future:
-                if dedup:
-                    job.deduped += 1
-                elif source == "cache":
-                    job.cache_hits += 1
-                else:
-                    job.simulated += 1
-                if not result.ok:
-                    job.failures += 1
-                await job.append(cell_event(result, source=source,
-                                            dedup=dedup))
+            for result in await future:
+                job.report.add(result)
+                await job.append(cell_event(result))
         await job.append({
             "kind": "done",
             "id": job.id,
-            "cells": len(cells),
-            "simulated": job.simulated,
-            "cache_hits": job.cache_hits,
-            "deduped": job.deduped,
-            "failures": job.failures,
+            "cells": job.report.cells,
+            **job.counts(),
             "elapsed": round(time.perf_counter() - start, 6),
         }, final=True)
 
     # -- cell resolution ------------------------------------------------
 
-    def _settle(self, key: str, result: CellResult, source: str) -> None:
-        """Account for a resolved cell and fan it out to subscribers."""
-        future = self._inflight.pop(key, None)
-        if result.ok:
-            if source == "cache":
-                self.counters["cells_cached"] += 1
-            else:
-                self.counters["cells_simulated"] += 1
-        else:
-            self.counters["cells_failed"] += 1
-        if future is not None and not future.done():
-            future.set_result((result, source))
+    async def _resolve(self, cells: List[CellSpec], keys: Dict,
+                       timeout: Optional[float]) -> List[CellResult]:
+        """One workload group: attach to in-flight cells, run the rest.
 
-    async def _resolve_group(self, cells: List[CellSpec], keys: Dict,
-                             timeout: Optional[float]):
-        """One workload group through the dedup -> cache -> fleet layers.
-
-        Returns one ``(CellResult, source, dedup)`` per cell, in cell
-        order.  The cells that actually need simulation are dispatched
-        to the fleet as a single batch, so one worker resolves the whole
-        group over a shared trace build.  Never raises: faults
-        become failure rows, exactly like the batch engine.
+        Never raises: faults become failure rows, exactly like
+        ``repro sweep``.
         """
         loop = asyncio.get_running_loop()
-        outcomes: Dict[int, tuple] = {}
-        attached: Dict[int, asyncio.Future] = {}
-        fresh: List[tuple] = []
-        for index, cell in enumerate(cells):
+        fresh: List[CellSpec] = []
+        fresh_keys: List[str] = []
+        attached: List[asyncio.Future] = []
+        for cell in cells:
             key = keys[(cell.workload, cell.model)]
             self.counters["cells_requested"] += 1
             pending = self._inflight.get(key)
-            if pending is not None:
+            if pending is None:
+                self._inflight[key] = loop.create_future()
+                fresh.append(cell)
+                fresh_keys.append(key)
+            else:
                 # Another job is already resolving this cell: attach.
                 self.counters["cells_deduped"] += 1
-                attached[index] = pending
-                continue
-            self._inflight[key] = loop.create_future()
-            fresh.append((index, key, cell))
+                attached.append(pending)
         try:
-            to_run: List[tuple] = []
-            for index, key, cell in fresh:
-                # Cache probes are tiny pickle reads, but they still
-                # leave the loop so a slow/networked filesystem cannot
-                # stall the server.
-                stats = await loop.run_in_executor(None, self.store.get,
-                                                   key)
-                if stats is not None:
-                    result = CellResult(cell.workload, cell.model,
-                                        stats=stats, cached=True)
-                    self._settle(key, result, "cache")
-                    outcomes[index] = (result, "cache", False)
-                else:
-                    to_run.append((index, key, cell))
-            if to_run:
-                cell_timeout = (timeout if timeout is not None
-                                else self.timeout)
-                batch = await self._run_group_on_fleet(
-                    [cell for _, _, cell in to_run], cell_timeout)
-                for (index, key, cell), result in zip(to_run, batch):
-                    for attempt in range(2, self.retries + 2):
-                        if result.ok:
-                            break
-                        result = await self._run_on_fleet(cell,
-                                                          cell_timeout)
-                        result.attempts = attempt
-                    if result.ok:
-                        await loop.run_in_executor(None, self.store.put,
-                                                   key, result.stats)
-                    self._settle(key, result, "simulated")
-                    outcomes[index] = (result, "simulated", False)
+            rows = await _drive(resolve_cells(
+                fresh, fresh_keys, self.store, self.fleet, self.runner,
+                timeout))
         except Exception as exc:  # pragma: no cover - defensive
-            for index, key, cell in fresh:
-                if index not in outcomes:
-                    result = CellResult(
-                        cell.workload, cell.model,
-                        error=f"{type(exc).__name__}: {exc}")
-                    self._settle(key, result, "simulated")
-                    outcomes[index] = (result, "simulated", False)
-        for index, pending in attached.items():
-            result, source = await asyncio.shield(pending)
-            outcomes[index] = (result, source, True)
-        return [outcomes[index] for index in range(len(cells))]
-
-    async def _run_group_on_fleet(self, specs: List[CellSpec],
-                                  timeout: Optional[float]
-                                  ) -> List[CellResult]:
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                self._ensure_pool(), _execute_group, specs, self.runner,
-                timeout)
-        except process.BrokenProcessPool:
-            self._shutdown_pool(wait=False)
-            return [CellResult(spec.workload, spec.model,
-                               error="worker process died (broken pool)")
-                    for spec in specs]
-        except Exception as exc:  # pragma: no cover - defensive
-            return [CellResult(spec.workload, spec.model,
+            # Settle every fresh cell anyway: other jobs may be
+            # attached to them.
+            rows = [CellResult(cell.workload, cell.model,
                                error=f"{type(exc).__name__}: {exc}")
-                    for spec in specs]
+                    for cell in fresh]
+        for key, result in zip(fresh_keys, rows):
+            self._settle(key, result)
+        for pending in attached:
+            result = await asyncio.shield(pending)
+            rows.append(dataclasses.replace(result, deduped=True))
+        return rows
 
-    async def _run_on_fleet(self, spec: CellSpec,
-                            timeout: Optional[float]) -> CellResult:
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                self._ensure_pool(), _execute_cell, spec, self.runner,
-                timeout)
-        except process.BrokenProcessPool:
-            # A worker died hard (OOM kill, segfault).  Drop the pool
-            # so the next attempt rebuilds a fresh fleet.
-            self._shutdown_pool(wait=False)
-            return CellResult(spec.workload, spec.model,
-                              error="worker process died (broken pool)")
-        except Exception as exc:  # pragma: no cover - defensive
-            return CellResult(spec.workload, spec.model,
-                              error=f"{type(exc).__name__}: {exc}")
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context())
-        return self._pool
+    def _settle(self, key: str, result: CellResult) -> None:
+        """Account for a resolved cell and fan it out to subscribers."""
+        if not result.ok:
+            self.counters["cells_failed"] += 1
+        elif result.source == "cache":
+            self.counters["cells_cached"] += 1
+        else:
+            self.counters["cells_simulated"] += 1
+        self._inflight.pop(key).set_result(result)
 
     # -- operability ----------------------------------------------------
 
@@ -356,17 +277,12 @@ class SweepService:
     async def wait_stopped(self) -> None:
         await self._stop.wait()
 
-    def _shutdown_pool(self, wait: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=True)
-            self._pool = None
-
     def shutdown(self) -> None:
         """Reap the fleet (no orphan workers) and drop ephemeral state."""
         for job in self._jobs.values():
             if job.task is not None and not job.task.done():
                 job.task.cancel()
-        self._shutdown_pool(wait=True)
+        self.fleet.shutdown()
         if self._ephemeral_root is not None:
             shutil.rmtree(self._ephemeral_root, ignore_errors=True)
             self._ephemeral_root = None

@@ -60,16 +60,15 @@ def decode_line(line: Union[str, bytes]) -> dict:
     return record
 
 
-def cell_event(result: CellResult, *, source: str,
-               dedup: bool) -> dict:
+def cell_event(result: CellResult) -> dict:
     """Render one resolved cell as its wire event."""
     record = {
         "kind": "cell",
         "workload": result.workload,
         "model": result.model,
         "status": "ok" if result.ok else "failed",
-        "source": source,
-        "dedup": dedup,
+        "source": result.source,
+        "dedup": result.deduped,
         "attempts": result.attempts,
         "duration": round(result.duration, 6),
     }
@@ -85,8 +84,8 @@ def cell_result_from_event(event: dict) -> CellResult:
 
     Failure rows come back with the exact schema ``repro sweep``
     reports (exception class in ``error``, retry count in
-    ``attempts``), so client-side reports can reuse
-    :class:`~repro.harness.parallel.SweepReport` rendering unchanged.
+    ``attempts``), so client-side reports fold it into a
+    :class:`~repro.harness.parallel.SweepReport` like ``repro sweep``.
     """
     stats = None
     if event.get("stats") is not None:
@@ -98,7 +97,8 @@ def cell_result_from_event(event: dict) -> CellResult:
         error=event.get("error"),
         attempts=event.get("attempts", 1),
         duration=event.get("duration", 0.0),
-        cached=event.get("source") == "cache",
+        source=event.get("source", "simulated"),
+        deduped=bool(event.get("dedup")),
     )
 
 

@@ -106,10 +106,10 @@ def test_sweep_audit_turns_violation_into_failure_row(monkeypatch):
     fake = SimpleNamespace(cycles=0)
     monkeypatch.setattr("repro.harness.parallel.run_model",
                         lambda *args, **kwargs: fake)
-    report = sweep(["inorder"], ["vpr"], scale=0.05, jobs=1, audit=True,
-                   retries=0)
+    report = sweep(["inorder"], ["vpr"], scale=0.05, jobs=1, audit=True)
     assert not report.ok
     (failure,) = report.failures
+    assert failure.attempts == 2
     assert failure.error.startswith("AuditViolation:")
     assert "AUD001" in failure.error
 

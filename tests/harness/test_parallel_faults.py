@@ -4,12 +4,16 @@ The injected runners below must be module-level functions: the engine
 pickles the runner by reference into its worker processes.
 """
 
+import os
 import time
 
 import pytest
 
 from repro.harness import SweepError, run_matrix
 from repro.harness.parallel import simulate_cell, sweep
+from repro.service import JobSpec
+
+from .routes import run_jobs
 
 SCALE = 0.05
 WORKLOADS = ("vpr", "parser")
@@ -19,6 +23,12 @@ MODELS = ("inorder", "multipass")
 def _boom(spec):
     if spec.workload == "vpr" and spec.model == "multipass":
         raise RuntimeError("injected fault")
+    return simulate_cell(spec)
+
+
+def _die(spec):
+    if spec.workload == "vpr" and spec.model == "multipass":
+        os._exit(1)
     return simulate_cell(spec)
 
 
@@ -52,6 +62,31 @@ def test_raising_cell_serial_path():
     assert not report.ok
     [failure] = report.failures
     assert failure.attempts == 2
+
+
+@pytest.mark.parametrize("route", ["sweep", "service"])
+def test_worker_death_fails_only_its_cell(route):
+    """A cell that kills its worker takes the pooled attempt of every
+    cell in flight down with it; retried alone, only it fails again."""
+    if route == "sweep":
+        report = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=2,
+                       runner=_die)
+    else:
+        # The second job needs a simulation, so it must run on a fleet
+        # rebuilt after the first job broke it.
+        report, after = run_jobs(
+            [JobSpec(workloads=WORKLOADS, models=MODELS, scale=SCALE),
+             JobSpec(workloads=("parser",), models=("ooo",),
+                     scale=SCALE)],
+            runner=_die)
+        assert after.ok and after.simulated == 1
+    [failure] = report.failures
+    assert (failure.workload, failure.model) == ("vpr", "multipass")
+    assert failure.attempts == 2
+    assert failure.error == "worker process died (broken pool)"
+    expected = run_matrix(MODELS, WORKLOADS, scale=SCALE).results
+    del expected[("vpr", "multipass")]
+    assert report.matrix.results == expected
 
 
 def test_wedged_cell_times_out_and_is_recorded():

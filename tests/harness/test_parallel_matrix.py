@@ -7,9 +7,14 @@ warm cached sweep must all produce stats bit-identical to plain serial
 breakdown, counters, memory-hierarchy stats and branch accuracy).
 """
 
+import pytest
+
 from repro.harness import (MODEL_FACTORIES, ResultsCache, run_matrix,
                            sweep)
+from repro.service import JobSpec
 from repro.workloads import ALL_WORKLOADS
+
+from .routes import run_jobs
 
 SCALE = 0.05
 WORKLOADS = ("vpr", "parser")
@@ -101,14 +106,14 @@ def test_serial_sweep_decodes_once_per_workload_cell(monkeypatch):
     }
 
 
-def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
+@pytest.mark.parametrize("route", ["sweep", "service"])
+def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch,
+                                                   route):
     """Pool path: grouped dispatch lands every model of a workload on
     the same worker, so across the whole fleet each (workload, scale)
-    trace is built exactly once."""
+    trace is built exactly once — by ``sweep`` and by a service job."""
     import multiprocessing
     import os
-
-    import pytest
 
     from repro.harness import parallel
 
@@ -134,7 +139,11 @@ def test_pool_sweep_decodes_once_per_workload_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_TRACE_BUILDS", {})
     monkeypatch.setattr(parallel, "_worker_trace", logged)
 
-    report = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=2)
+    if route == "sweep":
+        report = sweep(MODELS, WORKLOADS, scale=SCALE, jobs=2)
+    else:
+        [report] = run_jobs([JobSpec(workloads=WORKLOADS, models=MODELS,
+                                     scale=SCALE)])
     assert report.ok
 
     builds = {workload: 0 for workload in WORKLOADS}

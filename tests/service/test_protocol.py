@@ -61,7 +61,7 @@ class TestCellEvents:
         stats = _synthetic_stats()
         result = CellResult("vpr", "multipass", stats=stats,
                             attempts=1, duration=0.25)
-        event = cell_event(result, source="simulated", dedup=False)
+        event = cell_event(result)
         assert event["kind"] == "cell"
         assert event["status"] == "ok"
         assert event["source"] == "simulated"
@@ -72,12 +72,13 @@ class TestCellEvents:
         assert back.stats == stats
         assert (back.workload, back.model) == ("vpr", "multipass")
         assert back.attempts == 1
-        assert back.cached is False
+        assert back.source == "simulated"
 
     def test_cache_hit_marks_cached(self):
-        result = CellResult("vpr", "inorder", stats=_synthetic_stats())
-        event = cell_event(result, source="cache", dedup=False)
-        assert cell_result_from_event(event).cached is True
+        result = CellResult("vpr", "inorder", stats=_synthetic_stats(),
+                            source="cache")
+        event = cell_event(result)
+        assert cell_result_from_event(event).source == "cache"
 
     def test_failure_row_round_trips_with_sweep_schema(self):
         # Satellite contract: failures carry the exception class, the
@@ -86,7 +87,7 @@ class TestCellEvents:
         result = CellResult("vpr", "multipass",
                             error="RuntimeError: injected fault",
                             attempts=2)
-        event = cell_event(result, source="simulated", dedup=False)
+        event = cell_event(result)
         assert event["status"] == "failed"
         assert "stats" not in event
         back = cell_result_from_event(
