@@ -154,20 +154,19 @@ EOF
 fi
 rm -rf "$serve_dir"
 
-step "repro bench --smoke (perf gate: <=25% wall-clock regression)"
-# The baseline was re-recorded on the gen-2 OOO kernel (PR 10, the
-# consumer-driven spend-accumulator wakeup; PR 9 before it put the
-# multipass family on columnar kernels): gating against a slower
-# era's cells would let a large regression in the current fast paths
-# pass unnoticed.  --against gates the matrix total; --compare
-# additionally gates each model's cycles/second, so a model-specific
-# slowdown fails the gate even when the other cells absorb it in the
-# total.  The host's frequency scaling swings ~40% between sittings
-# (see the calibration keys in BENCH_PR9/PR10.json); a gate failure
-# with every model uniformly slow is the machine, not the change —
-# re-run before believing it.
+step "repro bench --smoke (perf gate: <=20% regression at reference host speed)"
+# Every cell is timed between two CPU-time speed probes and scaled to
+# the host speed recorded with the baseline (reference_probe_s), so
+# the host's 20-50% frequency swings cancel instead of failing the
+# gate.  --against gates the matrix total; --compare additionally
+# gates each model's cycles/second, so a model-specific slowdown (one
+# kernel 30% slower reads ~0.77x) fails the gate even when the other
+# cells absorb it in the total.  What scaling leaves is per-process
+# noise of about +-8% per model on each side, hence 20%.  Re-record
+# the baseline on purpose when a kernel's speed changes:
+#   python -m repro bench --smoke --out benchmarks/bench_smoke_baseline.json
 python -m repro bench --smoke \
-    --against benchmarks/bench_smoke_baseline.json --max-regression 0.25 \
+    --against benchmarks/bench_smoke_baseline.json --max-regression 0.20 \
     --compare benchmarks/bench_smoke_baseline.json \
     || failures=$((failures + 1))
 

@@ -206,9 +206,14 @@ def _cmd_bench(args) -> int:
                               top=args.top)
         print(render_profile(cells))
         return 0
-    record = run_bench(models, workloads, scale=args.scale,
-                       repeats=args.repeats, slow=args.slow)
     baseline = load_record(args.against) if args.against else None
+    reference = load_record(args.compare) if args.compare else None
+    # Scale to the gating record's host speed, so both sides compare at
+    # one reference speed (None: this run's fastest probe).
+    gate = baseline or reference or {}
+    record = run_bench(models, workloads, scale=args.scale,
+                       repeats=args.repeats, slow=args.slow,
+                       reference_probe_s=gate.get("reference_probe_s"))
     print(render_bench(record, baseline))
     if args.out:
         write_record(record, args.out)
@@ -226,8 +231,7 @@ def _cmd_bench(args) -> int:
         else:
             print(f"\nbench: within {args.max_regression:.0%} of "
                   f"baseline {args.against}")
-    if args.compare:
-        reference = load_record(args.compare)
+    if reference is not None:
         lines, regressions = compare_speedups(
             record, reference, max_regression=args.max_regression)
         print(f"\nbench: per-model speedup vs {args.compare}")
@@ -659,8 +663,8 @@ def main(argv=None) -> int:
                        help="fixed 3-workload matrix (the default; "
                             "spelled out for check.sh)")
     bench.add_argument("--scale", type=float, default=0.1)
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing passes per model; the best is kept")
+    bench.add_argument("--repeats", type=int, default=5,
+                       help="timing passes per cell; the median is kept")
     bench.add_argument("--slow", action="store_true",
                        help="benchmark the cycle-by-cycle reference "
                             "loop instead of the fast path")

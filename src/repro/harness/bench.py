@@ -1,23 +1,34 @@
-"""Wall-clock benchmark harness: the PR-to-PR perf trajectory.
+"""Wall-clock benchmark harness: the timing cores' speed gate.
 
 Simulator *output* is pinned bit-identical by the golden suite; this
 module pins simulator *speed*.  ``run_bench`` times each model over a
 fixed workload matrix (traces prebuilt, so only the timing loops are
-measured), taking the best of ``repeats`` passes to shed scheduler
+measured), taking the median of ``repeats`` passes to shed scheduler
 noise, and returns a JSON-serializable record:
 
 * per-model wall seconds, simulated cycles and cycles/second,
 * matrix totals,
-* the git revision, scale and matrix definition that produced it.
+* the git revision, scale, matrix definition and reference probe time
+  that produced it.
 
-Two consumers:
+Host-speed scaling.  The CPU of a shared host runs 20-50% slower in
+stretches that last from seconds to minutes, and the simulator slows
+with it.  So every cell is timed between two runs of
+:func:`speed_probe`, a fixed interpreter loop timed in CPU seconds, and
+multiplied by ``reference_probe_s`` over their mean (:func:`scaled`):
+every wall time in a record is reported at the host speed at which the
+probe takes the record's ``reference_probe_s``.  A record made without
+a reference takes the fastest probe it saw; a gated run is scaled to
+its baseline's reference, so the two compare at one host speed.  (The
+method is the repository benchmark's, ``perfbench/common.py``.)
 
-* ``scripts/run_bench.py`` writes the full-matrix record to
-  ``BENCH_PR<n>.json`` (optionally embedding the previous PR's record as
-  ``baseline``) so the repository carries a speed trajectory;
-* ``repro bench --smoke --against benchmarks/bench_smoke_baseline.json``
-  is the check.sh perf gate, failing on a wall-clock regression beyond
-  ``--max-regression``.
+``repro bench --smoke --against benchmarks/bench_smoke_baseline.json
+--compare benchmarks/bench_smoke_baseline.json`` is the check.sh perf
+gate: it fails on a matrix-total regression beyond
+``--max-regression`` and on any one model's throughput falling below
+``1 - --max-regression`` of the baseline.  The full-matrix records of
+earlier changes are kept as ``BENCH_PR<n>.json`` at the repository
+root; ``--compare`` accepts them too.
 
 Cycle counts are deterministic, so a benchmark run doubles as a coarse
 sanity check: ``compare_bench`` flags any cycle-count drift against the
@@ -30,6 +41,7 @@ import json
 import subprocess
 import time
 from pathlib import Path
+from statistics import median
 from typing import Dict, List, Optional, Sequence
 
 from ..workloads import ALL_WORKLOADS
@@ -44,6 +56,30 @@ SMOKE_WORKLOADS = ("vpr", "mcf", "equake")
 
 #: Benchmark record schema version.
 BENCH_SCHEMA = "repro-bench/1"
+
+#: Iterations of the :func:`speed_probe` loop (about a millisecond).
+PROBE_ITERATIONS = 10_000
+
+
+def speed_probe() -> float:
+    """CPU seconds this thread spends on a fixed interpreter loop.
+
+    CPU time, not wall time, so that waiting for a CPU does not count:
+    the probe measures how fast the host runs Python, not how busy
+    other processes keep it.
+    """
+    table: Dict[int, int] = {}
+    start = time.thread_time()
+    for i in range(PROBE_ITERATIONS):
+        table[i & 255] = table.get((i * 7) & 255, 0) + i
+    return time.thread_time() - start
+
+
+def scaled(seconds: float, before: float, after: float,
+           reference: float) -> float:
+    """``seconds`` at the host speed where the probe takes
+    ``reference``, given the probes taken just before and after it."""
+    return seconds * 2 * reference / (before + after)
 
 
 def git_sha() -> Optional[str]:
@@ -60,35 +96,51 @@ def git_sha() -> Optional[str]:
 
 def run_bench(models: Sequence[str] = BENCH_MODELS,
               workloads: Sequence[str] = SMOKE_WORKLOADS,
-              scale: float = 0.1, repeats: int = 3,
-              slow: bool = False) -> dict:
+              scale: float = 0.1, repeats: int = 5,
+              slow: bool = False,
+              reference_probe_s: Optional[float] = None) -> dict:
     """Time ``models`` x ``workloads`` and return the benchmark record.
 
     Traces are built before the clock starts.  Each (model, workload)
-    cell is timed independently and takes the best of ``repeats`` runs
-    — per-cell minima reject transient scheduler noise much better than
-    whole-matrix passes, where one descheduling inflates every cell of
-    that pass.  A model's wall time is the sum of its cell minima.
+    cell is timed independently, each run between two speed probes and
+    scaled to ``reference_probe_s`` (default: the fastest probe of this
+    run), and takes the median of ``repeats`` scaled runs.  A cell runs
+    for about 10 ms and a probe for about 1 ms, so one run's scaled
+    time can be off by 10-15% either way; the median of five sheds
+    that where the minimum would keep the luckiest error.  A model's
+    wall time is the sum of its cell medians.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     cache = TraceCache(scale)
     traces = [cache.trace(w) for w in workloads]
 
-    per_model: Dict[str, dict] = {}
+    raw: Dict[str, List[list]] = {}
+    cycles_of: Dict[str, int] = {}
+    probes: List[float] = [speed_probe()]
     for model in models:
         cycles = 0
-        wall = 0.0
+        raw[model] = cells = []
         for trace in traces:
-            best = None
+            runs = []
             for rep in range(repeats):
                 t0 = time.perf_counter()
                 stats = make_model(model, trace, slow=slow).run()
                 cell = time.perf_counter() - t0
-                if best is None or cell < best:
-                    best = cell
+                probes.append(speed_probe())
+                runs.append((cell, probes[-2], probes[-1]))
             cycles += stats.cycles   # deterministic across repeats
-            wall += best
+            cells.append(runs)
+        cycles_of[model] = cycles
+    if reference_probe_s is None:
+        reference_probe_s = min(probes)
+
+    per_model: Dict[str, dict] = {}
+    for model in models:
+        cycles = cycles_of[model]
+        wall = sum(median([scaled(cell, before, after, reference_probe_s)
+                           for cell, before, after in runs])
+                   for runs in raw[model])
         per_model[model] = {
             "wall_seconds": round(wall, 4),
             "cycles": cycles,
@@ -103,6 +155,7 @@ def run_bench(models: Sequence[str] = BENCH_MODELS,
         "scale": scale,
         "repeats": repeats,
         "slow": slow,
+        "reference_probe_s": reference_probe_s,
         "models": list(models),
         "workloads": list(workloads),
         "per_model": per_model,
@@ -301,4 +354,4 @@ def write_record(record: dict, path) -> None:
 __all__ = ("BENCH_MODELS", "BENCH_SCHEMA", "SMOKE_WORKLOADS",
            "compare_bench", "compare_speedups", "git_sha", "load_record",
            "profile_bench", "render_bench", "render_profile", "run_bench",
-           "write_record")
+           "scaled", "speed_probe", "write_record")

@@ -33,8 +33,8 @@ dynamic rename-table walk is pinned by ``tests/isa/test_columns.py``.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import TYPE_CHECKING, Callable, List, Tuple, TypeVar
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple, TypeVar
 
 from .registers import NUM_REGS
 
@@ -77,21 +77,40 @@ class DependenceGraph:
         self.merged_dests = merged_dests
         n = len(trace)
         reads, writes = trace.srcs, trace.dests
+        # The merged discipline swaps in a predicated seq's static
+        # destinations per seq inside the walk; the unmerged one zips
+        # ``writes`` against itself with the flag held false.
         if merged_dests:
             sdests = trace.static_dests
-            pred = trace.is_predicated
-            reads = [r + s if p else r for r, s, p in zip(reads, sdests, pred)]
-            writes = [s if p else w for w, s, p in zip(writes, sdests, pred)]
+            preds: Iterable[bool] = trace.is_predicated
+        else:
+            sdests = writes
+            preds = repeat(False)
 
         # One rename walk.  ``readers[reg]`` collects, in seq order, the
         # consumers that reached ``last_writer[reg]`` through ``reg``;
         # when ``reg`` is overwritten (or the trace ends) they become
         # that writer's consumer row.  A writer of several registers
         # merges its chunks in seq order.
+        #
+        # Every producer row is allocated once, in its final form: a seq
+        # with no producer keeps the shared ``()``, a one- or two-source
+        # seq gets its tuple directly, and a longer row is collected in
+        # a list and frozen with one ``tuple()``.  Tuples are GC-tracked
+        # until their first collection, so an intermediate tuple per
+        # source would cost the collector as much as a row does.
+        #
+        # Only registers some instruction writes ever get a writer, so
+        # only they get a reader list (``None`` elsewhere): the lists
+        # live through the whole walk, and each one alive across a
+        # collection is promoted towards a full collection.
         last_writer = [-1] * NUM_REGS
-        readers: List[List[int]] = [[] for _ in range(NUM_REGS)]
-        prods: List[Tuple[int, ...]] = []
-        add_row = prods.append
+        readers: List[List[int]] = [None] * NUM_REGS  # type: ignore
+        for inst in trace.program.instructions:
+            for reg in inst.dests:
+                if readers[reg] is None:
+                    readers[reg] = []
+        prods: List[Tuple[int, ...]] = [()] * n
         cons: List[Tuple[int, ...]] = [()] * n
 
         def close(reg: int) -> None:
@@ -101,27 +120,64 @@ class DependenceGraph:
             cons[p] = tuple(sorted(cons[p] + rows)) if cons[p] else rows
             chunk.clear()
 
-        for seq, srcs, dests in zip(count(), reads, writes):
-            row: Tuple[int, ...] = ()
-            for src in srcs:
+        seq = -1
+        for srcs, dests, sdest, pred in zip(reads, writes, sdests, preds):
+            seq += 1
+            if pred:
+                # Without predicate renaming, a predicated write also
+                # reads, and then writes, its static destinations.
+                srcs += sdest
+                dests = sdest
+            k = len(srcs)
+            if k == 2:
+                # The common shape: a register operand plus the
+                # qualifying predicate.
+                a, b = srcs
+                pa = last_writer[a]
+                pb = last_writer[b]
+                if pa >= 0:
+                    readers[a].append(seq)
+                    if pb >= 0 and pb != pa:
+                        readers[b].append(seq)
+                        prods[seq] = (pa, pb)
+                    else:
+                        prods[seq] = (pa,)
+                elif pb >= 0:
+                    readers[b].append(seq)
+                    prods[seq] = (pb,)
+            elif k == 1:
+                src = srcs[0]
                 p = last_writer[src]
-                if p >= 0 and p not in row:
-                    row += (p,)
+                if p >= 0:
+                    prods[seq] = (p,)
                     readers[src].append(seq)
-            add_row(row)
+            elif k:
+                row: List[int] = []
+                for src in srcs:
+                    p = last_writer[src]
+                    if p >= 0 and p not in row:
+                        row.append(p)
+                        readers[src].append(seq)
+                if row:
+                    prods[seq] = tuple(row)
             for dest in dests:
-                if readers[dest]:
-                    close(dest)
+                chunk = readers[dest]
+                if chunk:                      # close(dest), inlined
+                    w = last_writer[dest]
+                    prev = cons[w]
+                    cons[w] = (tuple(sorted(prev + tuple(chunk))) if prev
+                               else tuple(chunk))
+                    chunk.clear()
                 last_writer[dest] = seq
         for reg in range(NUM_REGS):
             if readers[reg]:
                 close(reg)
         self.prods = prods
         self.cons = cons
-        self.issue_kind = bytes(
+        self.issue_kind = bytes([
             (1 if mem else 0) | (2 if branch else 0) | (4 if row else 0)
             for mem, branch, row in zip(trace.mem_exec, trace.is_branch,
-                                        cons))
+                                        cons)])
 
 
 def dependences(trace: "Trace",

@@ -56,10 +56,20 @@ window:
   occupancy is ``dispatch_ptr - commit_ptr``, the dispatch gate is
   ``commit_ptr + rob_capacity``, commit walks ``commit_ptr`` forward,
   and squash is a loop over ``range(squash_after + 1, dispatch_ptr)``.
-* **Incarnations.**  A squash re-dispatches the same seqs (trace
-  replay), so per-seq state is generation-stamped: ``gen[s]`` bumps at
-  squash and calendar entries carry the gen at insertion; a stale
-  entry is discarded at drain.
+* **Incarnations are int stamps.**  A squash re-dispatches the same
+  seqs (trace replay), so calendar entries are stamped with the
+  incarnation they were filed for.  The stamp is one int per seq,
+  ``ev[s] = s + gen * ev_stride`` (``ev_stride`` the power of two above
+  ``n``): a wheel slot holds ``ev[seq]``, a far-heap entry is
+  ``(visible, ev[seq])``, a squash does ``ev[s] += ev_stride``, and the
+  drain recovers the seq as ``e & ev_mask`` and discards the entry as
+  stale when ``ev[seq] != e``.  The stamps replaced ``(seq, gen)``
+  tuples — one GC-tracked allocation per instruction per run, which
+  made the collector 14-18% of an OOO run at scale 1.0 (3-5 full
+  collections per 12-kernel sweep, each walking every list column of
+  every live trace); plain ints are not tracked at all.  Dirty-mode
+  producer rows are stored as tuples for the same reason: an int-only
+  tuple is untracked at its first collection, a list stays tracked.
 
 Equivalence invariants (the bit-identity contract, see
 ``docs/architecture.md`` §13):
@@ -82,8 +92,8 @@ Equivalence invariants (the bit-identity contract, see
   capped by the wake horizon, the minimum over in-flight completions —
   exactly the cycles producer events are scheduled at (modulo the
   ``wakeup_delay`` adjustment applied to both).  Only stale
-  (squashed-gen) entries can be jumped; their stamp discards them when
-  the wheel slot next comes around.
+  (squashed-incarnation) entries can be jumped; their stamp discards
+  them when the wheel slot next comes around.
 * The window boundary (the ``window``-th oldest un-issued seq) and the
   port counters are sampled once per cycle before the issue scan,
   matching the scalar scan's fixed candidate slice.
@@ -105,7 +115,6 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
-from itertools import repeat
 
 from ..isa.columns import dependences, fetch_runs
 from ..isa.registers import NUM_REGS
@@ -134,11 +143,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     sprods = graph.prods
     port_code = trace.port_code
     queue_code = trace.queue_code
-    # Packed issue-path flags (bit0 mem, bit1 branch, bit2 consumers)
-    # and prebuilt gen-0 wheel pairs, built per run because a squash
-    # re-points the squashed seqs' entries at their new gen.
+    # Packed issue-path flags (bit0 mem, bit1 branch, bit2 consumers).
     kind = graph.issue_kind
-    ev_pair = list(zip(range(n), repeat(0)))
 
     d_srcs = trace.srcs
     d_dests = trace.dests
@@ -261,7 +267,13 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     # Flat per-seq state (current incarnation).
     value_ready = [0] * n        # visibility cycle; 0 = not issued
     ready_cycle = [0] * n        # completion (commit-eligibility) cycle
-    gen = [0] * n                # incarnation counter (bumped at squash)
+    # Incarnation stamps: ``ev[s]`` is the calendar entry of seq s's
+    # current incarnation, ``s + gen * ev_stride`` as one plain int, so
+    # ``e & ev_mask`` recovers the seq and a squash bumps the stamp by
+    # ``ev_stride``.  Ints are not GC-tracked (see the module docstring).
+    ev = list(range(n))
+    ev_mask = (1 << n.bit_length()) - 1
+    ev_stride = ev_mask + 1
     unissued = bytearray(n)      # dispatched and awaiting issue
     load_wait = bytearray(n)     # issued load that missed the L1
     # Static-pending accumulator: ``spend[c]`` always equals the number
@@ -302,9 +314,8 @@ def run_columnar(core, max_cycles: int) -> SimStats:
     rdy = []
     hr = 0
     # Producer-visibility events on the shared calendar: near events in
-    # the 64-slot wheel as (seq, gen) pairs drained exactly at their
-    # cycle, far events (memory misses) heap-ordered as
-    # (cycle, seq, gen).
+    # the 64-slot wheel as ``ev`` stamps drained exactly at their cycle,
+    # far events (memory misses) heap-ordered as (cycle, stamp).
     cal = EventCalendar()
     wheel = cal.wheel
     heap = cal.heap
@@ -320,8 +331,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         # ---- wake-ups: producers whose values become visible now ------
         slot = wheel[now & 63]
         if slot:
-            for p, g in slot:
-                if gen[p] != g:
+            for e in slot:
+                p = e & ev_mask
+                if ev[p] != e:
                     continue                   # stale incarnation
                 for c in cons_lists[p]:
                     sp = spend[c] - 1
@@ -337,9 +349,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                             insort(rdy, c, hr)
             del slot[:]
         while heap and heap[0][0] <= now:
-            event = heappop(heap)
-            p = event[1]
-            if gen[p] != event[2]:
+            e = heappop(heap)[1]
+            p = e & ev_mask
+            if ev[p] != e:
                 continue                       # stale incarnation
             for c in cons_lists[p]:
                 sp = spend[c] - 1
@@ -471,7 +483,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     last_writer[dest] = seq
                     forgotten.discard(dest)
                 pend = len(prods)
-                cprods[seq] = prods
+                # A tuple: int-only tuples drop out of the collector's
+                # tracking at their first collection, lists never do.
+                cprods[seq] = tuple(prods)
                 pending[seq] = pend
                 dirty[seq] = 1
             unissued[seq] = 1
@@ -699,9 +713,9 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                 # having consumers at all.
                 if k & 4:
                     if visible - now < WHEEL:
-                        wheel[visible & 63].append(ev_pair[seq])
+                        wheel[visible & 63].append(ev[seq])
                     else:
-                        heappush(heap, (visible, seq, gen[seq]))
+                        heappush(heap, (visible, ev[seq]))
                 if has_queues:
                     queue_fill[queue_code[seq]] -= 1
                 issued += 1
@@ -748,9 +762,7 @@ def run_columnar(core, max_cycles: int) -> SimStats:
         # ---- squash wrong-path work younger than the branch ------------
         if squash_after >= 0:
             for s in range(squash_after + 1, dispatch_ptr):
-                g2 = gen[s] + 1                # invalidate calendar events
-                gen[s] = g2
-                ev_pair[s] = (s, g2)
+                ev[s] += ev_stride             # invalidate calendar events
                 r = value_ready[s]
                 if r and r <= now:
                     # The squashed producer's visibility event already
@@ -889,18 +901,15 @@ def run_columnar(core, max_cycles: int) -> SimStats:
                     wake = r
             skip_to = wake if wake < cap else cap
             if now < skip_to < _INF:
-                # Same attribution rule, evaluated at the post-increment
-                # cycle like the scalar loop.
-                h = commit_ptr
-                if not unissued[h]:
-                    cause = LOAD if load_wait[h] else OTHER
-                else:
-                    cause = OTHER
-                    for p in cprods[h]:
-                        r = value_ready[p]
-                        if r == 0 or r > now:
-                            cause = LOAD if d_load[p] else OTHER
-                            break
+                # The quiescent cycle's ``cause`` holds for the whole
+                # span.  Its head ``h`` is always issued: every producer
+                # of the oldest seq is older, so it committed in an
+                # earlier cycle (nothing committed in this one), at or
+                # after its ``ready_cycle``; with ``wakeup_delay <= 1``
+                # it was visible by this cycle's start, so an un-issued
+                # ``h`` would have been ready and, as the oldest
+                # candidate, issued.  An issued head's cause reads only
+                # ``load_wait[h]``, which no skipped cycle changes.
                 if cause is LOAD:
                     c_load += skip_to - now
                 else:

@@ -3,11 +3,16 @@
 The wall-clock numbers themselves are machine-dependent and live in the
 recorded ``BENCH_PR<n>.json`` trajectory; what the tests can pin is the
 comparison logic the check.sh perf gate runs on them: the total
-wall-clock gate, the deterministic cycle-drift detector, and the
-per-model throughput gate behind ``repro bench --compare``.
+wall-clock gate, the deterministic cycle-drift detector, the per-model
+throughput gate behind ``repro bench --compare``, and the host-speed
+scaling that makes a record comparable with a baseline taken at
+another host speed.
 """
 
-from repro.harness.bench import compare_bench, compare_speedups
+import pytest
+
+from repro.harness import bench
+from repro.harness.bench import compare_bench, compare_speedups, scaled
 
 
 def _record(per_model, workloads=("vpr", "mcf", "equake")):
@@ -95,3 +100,34 @@ def test_compare_speedups_skips_models_without_baseline():
     assert regressions == []
     assert any("runahead" in line and "no baseline" in line
                for line in lines)
+
+
+def test_scaled_reports_time_at_reference_speed():
+    # Probes at twice the reference time: the host ran at half speed.
+    assert scaled(3.0, 0.002, 0.002, 0.001) == pytest.approx(1.5)
+    assert scaled(3.0, 0.001, 0.003, 0.001) == pytest.approx(1.5)
+
+
+class _Clock:
+    """``perf_counter`` that advances one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("reference, expected", [(None, 1.0),
+                                                 (0.001, 0.5)])
+def test_run_bench_scales_cells_to_reference_probe(monkeypatch, reference,
+                                                   expected):
+    """Every cell is scaled by reference / probe; without a reference
+    the record takes its fastest probe and says so."""
+    monkeypatch.setattr(bench, "time", _Clock())
+    monkeypatch.setattr(bench, "speed_probe", lambda: 0.002)
+    record = bench.run_bench(["inorder"], ["vpr"], scale=0.01, repeats=2,
+                             reference_probe_s=reference)
+    assert record["reference_probe_s"] == (reference or 0.002)
+    assert record["per_model"]["inorder"]["wall_seconds"] == expected

@@ -1,8 +1,11 @@
 """Tests for the ideal and realistic out-of-order models."""
 
+import gc
+
 import pytest
 
 from repro.compiler import CompileOptions
+from repro.harness.experiment import TraceCache, run_model
 from repro.isa import P, R
 from repro.machine import MachineConfig
 from repro.multipass import simulate_multipass
@@ -137,3 +140,39 @@ def test_deterministic():
     b = simulate_ooo(trace)
     assert a.cycles == b.cycles
     assert a.cycle_breakdown == b.cycle_breakdown
+
+
+@pytest.fixture(scope="module")
+def smoke_traces():
+    cache = TraceCache(0.1)
+    return {w: cache.trace(w) for w in ("mcf", "vpr", "equake")}
+
+
+@pytest.mark.parametrize("model", ["ooo", "ooo-realistic"])
+def test_repeat_run_triggers_no_collection(model, smoke_traces):
+    """A repeat run allocates no per-instruction GC-tracked object.
+
+    Calendar entries are int stamps and the dependence rows are
+    memoized on the trace by the first run, so once the collector has
+    been run a repeat run over a prebuilt trace stays below its gen-0
+    threshold.  One tracked tuple per instruction would trigger several
+    collections per run at this scale.
+    """
+    assert gc.isenabled()
+    for trace in smoke_traces.values():
+        run_model(model, trace)            # first run builds the rows
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    for workload, trace in smoke_traces.items():
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            run_model(model, trace)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(collections) <= 1, (workload, collections)
+        collections.clear()

@@ -90,29 +90,49 @@ class TestFarHeap:
 
 
 class TestStaleness:
+    # The OOO kernel's int stamps for a 10-seq trace: ``ev[s]`` is seq
+    # s's current stamp, the seq is ``stamp & MASK``, a squash adds
+    # ``MASK + 1``.
+    MASK = (1 << (10).bit_length()) - 1
+
+    def live(self, ev, entries):
+        return [e for e in entries if ev[e & self.MASK] == e]
+
     def test_squash_restamp_discards_at_drain(self):
-        # The OOO kernel's squash protocol: bump the seq's generation,
-        # leave the old entry in place.  The calendar surfaces both
-        # eras; the caller's stamp check keeps exactly the live one.
+        # The OOO kernel's squash protocol: bump the seq's stamp, leave
+        # the old entry in place.  The calendar surfaces both eras; the
+        # caller's stamp check keeps exactly the live one.
         cal = EventCalendar()
-        gen = 0
-        cal.schedule(10, now=5, entry=(4, gen))
-        gen += 1                          # squash seq 4
-        cal.schedule(12, now=6, entry=(4, gen))      # reissue
-        stale = [e for e in cal.pop_due(10) if e[1] == gen]
-        assert stale == []                # old-era entry discarded
-        live = [e for e in cal.pop_due(12) if e[1] == gen]
-        assert live == [(4, 1)]
+        ev = list(range(10))
+        cal.schedule(10, now=5, entry=ev[4])
+        ev[4] += self.MASK + 1            # squash seq 4
+        cal.schedule(12, now=6, entry=ev[4])         # reissue
+        assert self.live(ev, cal.pop_due(10)) == []  # old era discarded
+        live = self.live(ev, cal.pop_due(12))
+        assert live == [ev[4]] and live[0] & self.MASK == 4
+
+    def test_squash_restamp_discards_far_entry(self):
+        # Far entries carry the stamp after the due cycle.
+        cal = EventCalendar()
+        ev = list(range(10))
+        cal.schedule(200, now=0, entry=(200, ev[7]))
+        ev[7] += self.MASK + 1            # squash seq 7
+        cal.schedule(300, now=100, entry=(300, ev[7]))
+        assert self.live(ev, [e for _, e in cal.pop_due(250)]) == []
+        assert self.live(ev, [e for _, e in cal.pop_due(300)]) == [ev[7]]
 
     def test_stale_entry_jumped_by_wrap_still_discardable(self):
         # Only stale entries may be jumped by a skip; when the slot
         # next comes around (one wrap later) the entry is still there
         # and still identifiably stale.
         cal = EventCalendar()
-        cal.schedule(10, now=5, entry=(4, 0))
+        ev = list(range(10))
+        cal.schedule(10, now=5, entry=ev[4])
+        ev[4] += self.MASK + 1            # squash seq 4
         # skip straight past cycle 10 without visiting the slot...
         assert cal.slot(10 + WHEEL) is cal.slot(10)
-        assert cal.slot(10 + WHEEL) == [(4, 0)]     # ...it survives
+        assert cal.slot(10 + WHEEL) == [4]           # ...it survives
+        assert self.live(ev, cal.pop_due(10 + WHEEL)) == []
 
     def test_clear_empties_everything(self):
         cal = EventCalendar()
